@@ -883,8 +883,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--eval-mode",
         default=DEFAULT_EVAL_MODE,
         choices=EVAL_MODES,
-        help="candidate pricing: 'scalar' (default) or 'batch' (vectorized "
-        "prefill-comm pricing; byte-identical results)",
+        help="accepted for symmetry with 'search' and validated ('batch' needs "
+        "the analytic backend); serving always prices per candidate",
     )
     p.add_argument("--json", default=None, help="optional path to dump raw results as JSON")
     p.set_defaults(func=cmd_serve)

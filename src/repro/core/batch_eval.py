@@ -27,8 +27,8 @@ The equivalence is pinned by ``tests/test_batch_eval.py`` (scenario grid)
 and ``tests/test_batch_eval_properties.py`` (hypothesis properties); the
 documented tolerance is **exact equality** (``==``) on every category and
 on the total.  Only the analytic backend is supported — a simulated bubble
-has no closed form to vectorize — and callers are expected to enforce
-``backend == DEFAULT_BACKEND`` before routing here.
+has no closed form to vectorize — and :func:`validate_eval_mode` rejects
+batch mode for any other backend.
 
 The module also hosts the :class:`IncumbentBoard`: the best-known feasible
 iteration time per search scope, shared across the strategies of one
@@ -54,6 +54,7 @@ from repro.core.config_space import (
     parallel_configs,
 )
 from repro.core.execution import (
+    DEFAULT_BACKEND,
     ModelingOptions,
     DEFAULT_OPTIONS,
     _cached_stage_times,
@@ -90,7 +91,6 @@ __all__ = [
     "batch_candidate_breakdowns",
     "batch_candidate_times",
     "batch_evaluate_enumeration",
-    "batch_serving_prefill_comm",
     "incumbent_board",
     "incumbent_scope_keys",
     "install_shared_slots",
@@ -105,11 +105,20 @@ EVAL_MODES = ("scalar", "batch")
 DEFAULT_EVAL_MODE = "scalar"
 
 
-def validate_eval_mode(eval_mode: str) -> str:
-    """Normalise and validate an ``--eval-mode`` value."""
+def validate_eval_mode(eval_mode: str, backend: str = DEFAULT_BACKEND) -> str:
+    """Normalise and validate an ``--eval-mode`` value for ``backend``.
+
+    Batch mode vectorizes the analytic closed forms, so it is rejected for
+    any other backend.
+    """
     mode = str(eval_mode).strip().lower()
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown eval_mode {eval_mode!r}; supported: {EVAL_MODES}")
+    if mode == "batch" and backend != DEFAULT_BACKEND:
+        raise ValueError(
+            f"eval_mode='batch' vectorizes the analytic closed forms and is "
+            f"only exact against backend={DEFAULT_BACKEND!r}; got {backend!r}"
+        )
     return mode
 
 
@@ -540,60 +549,6 @@ def batch_candidate_times(
     return batch_candidate_breakdowns(
         model, system, candidates, global_batch_size=global_batch_size, options=options
     ).total
-
-
-def batch_serving_prefill_comm(
-    model: TransformerConfig,
-    system: SystemSpec,
-    config: ParallelConfig,
-    assignments: Sequence[GpuAssignment],
-    *,
-    prompt_tokens: int,
-    options: ModelingOptions = DEFAULT_OPTIONS,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized prefill communication of one serving parallelization.
-
-    Returns aligned float64 arrays over ``assignments``: the per-layer
-    prefill TP-collective time and the stage-boundary P2P transfer time —
-    the only two serving quantities that vary with the NVS assignment
-    (everything else in a serving estimate is assignment-independent or, in
-    decode's case, depends on the Little's-law batch and stays scalar).
-    Each lane is the bit-exact scalar value
-    (:func:`repro.core.inference._evaluate_serving` computes the same
-    closed forms through the analytic pricer), so injecting these into the
-    scalar evaluator leaves every serving estimate byte-identical.
-    """
-    count = len(assignments)
-    prefill_model = model.scaled(seq_len=prompt_tokens)
-    stage = _cached_stage_times(
-        "tp1d",
-        prefill_model,
-        system.gpu,
-        1,  # one request per prefill microbatch
-        config.tensor_parallel_1,
-        config.tensor_parallel_2,
-        config.summa_panels,
-        options.flash_attention,
-        options.include_dropout,
-        options.include_flop_latency,
-        config.expert_parallel,
-    )
-    geometry = _GroupGeometry(
-        config.tensor_parallel_1,
-        config.tensor_parallel_2,
-        config.expert_parallel,
-        np.full(count, config.pipeline_parallel, dtype=np.int64),
-        np.full(count, config.data_parallel, dtype=np.int64),
-        np.fromiter((a.nvs_tp1 for a in assignments), np.int64, count),
-        np.fromiter((a.nvs_tp2 for a in assignments), np.int64, count),
-        np.fromiter((a.nvs_pp for a in assignments), np.int64, count),
-        np.fromiter((a.nvs_dp for a in assignments), np.int64, count),
-    )
-    comm = _comm_time_arr(stage.fwd_comms, geometry, system.network, count)
-    _, pp_nvs = geometry(GROUP_PP)
-    volume = model.dtype_bytes * prompt_tokens * model.embed_dim
-    p2p = _p2p_time_arr(volume, pp_nvs, system.network)
-    return comm, np.broadcast_to(p2p, (count,)).astype(np.float64, copy=False)
 
 
 # ----------------------------------------------------------------------

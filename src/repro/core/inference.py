@@ -54,9 +54,7 @@ assignment (:class:`_FreeCommPricer`).
 
 from __future__ import annotations
 
-import heapq
 import math
-import time as _time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,12 +62,12 @@ from repro.core.backends import CostPricer, DEFAULT_BACKEND, get_backend
 from repro.core.config_space import (
     DEFAULT_SEARCH_SPACE,
     SearchSpace,
-    gpu_assignments,
     parallel_configs,
 )
 from repro.core.execution import (
     DEFAULT_OPTIONS,
     ModelingOptions,
+    cache_stats,
     _cached_stage_times,
     _cached_workload,
     _comm_time,
@@ -108,7 +106,15 @@ from repro.core.plan import (
 )
 from repro.core.roofline import RooflineTime, ops_time
 from repro.core.schedules import DEFAULT_SCHEDULE
-from repro.core.search import SearchStatistics
+from repro.core.search import (
+    BestK,
+    CandidatePricer,
+    SearchStatistics,
+    Survivor,
+    branch_and_bound,
+    search_statistics,
+    warm_seed,
+)
 from repro.core.system import SystemSpec
 from repro.utils.units import GB
 
@@ -617,17 +623,8 @@ def _evaluate_serving(
     serving: ServingSpec,
     options: ModelingOptions,
     pricer: CostPricer,
-    _prefill_comm: Optional[Tuple[float, float]] = None,
 ) -> ServingEstimate:
-    """Price one validated serving candidate through ``pricer``.
-
-    ``_prefill_comm`` optionally injects the two assignment-dependent
-    prefill quantities — the per-layer TP-collective time and the
-    stage-boundary P2P time — pre-computed by the vectorized batch pricer
-    (:func:`repro.core.batch_eval.batch_serving_prefill_comm`).  The lanes
-    are bit-exact with the scalar closed forms, so injection changes no
-    result; it only skips re-pricing the collectives per candidate.
-    """
+    """Price one validated serving candidate through ``pricer``."""
     np_ = config.pipeline_parallel
     nd = config.data_parallel
     stage_layers = layers_per_stage(model, config)
@@ -649,22 +646,15 @@ def _evaluate_serving(
     )
     pf_flop = stage.fwd_flop * stage_layers
     pf_mem = stage.fwd_mem_exposed * stage_layers
-    if _prefill_comm is not None:
-        pf_layer_comm = _prefill_comm[0]
-    else:
-        pf_layer_comm = _comm_time(stage.fwd_comms, config, assignment, pricer)
-    pf_tp_comm = pf_layer_comm * stage_layers
+    pf_tp_comm = _comm_time(stage.fwd_comms, config, assignment, pricer) * stage_layers
     t_pf_stage = pf_flop + pf_mem + pf_tp_comm
 
     pf_p2p = 0.0
     if np_ > 1:
-        if _prefill_comm is not None:
-            pf_p2p = _prefill_comm[1]
-        else:
-            placement = _group_placement(GROUP_PP, config, assignment)
-            pf_p2p = pricer.p2p(
-                model.dtype_bytes * serving.prompt_tokens * model.embed_dim, placement
-            )
+        placement = _group_placement(GROUP_PP, config, assignment)
+        pf_p2p = pricer.p2p(
+            model.dtype_bytes * serving.prompt_tokens * model.embed_dim, placement
+        )
     ttft = np_ * t_pf_stage + (np_ - 1) * pf_p2p
 
     # --- memory: weights + paged KV capacity ------------------------------
@@ -997,19 +987,18 @@ def find_serving_config(
     assignment-independent zero-communication evaluation, orders the
     NVS-assignment loops best-bound-first and prunes every candidate whose
     bound cannot beat the incumbent — provably never changing the selected
-    optimum (or the top-k set), exactly like the training branch-and-bound.
+    optimum (or the top-k set), exactly like the training branch-and-bound
+    (both run :func:`repro.core.search.branch_and_bound`).
 
     ``objective`` selects what "best" means: ``"throughput"`` maximises
     sustainable tokens/s/GPU; ``"ttft"`` / ``"tpot"`` minimise the latency
     terms.  Infeasible candidates (KV capacity, prefill saturation,
     arrival-rate overload, SLO targets) never win.
 
-    ``eval_mode="batch"`` prices each survivor's assignment-dependent
-    prefill communication as one vectorized array program
-    (:func:`repro.core.batch_eval.batch_serving_prefill_comm`) and injects
-    the lanes into the scalar evaluator; the decode fixed point stays
-    scalar, so every estimate — and therefore the search outcome — is
-    byte-identical to scalar mode.  Analytic backend only.
+    ``eval_mode`` is validated like the training search's (an unknown mode,
+    or ``"batch"`` with a non-analytic backend, raises ``ValueError``) but
+    selects nothing: the serving search always prices per candidate, since
+    its cost is the scalar decode fixed point, which does not vectorize.
 
     ``warm_hints`` seeds the branch-and-bound exactly like the training
     search (:func:`repro.core.search.find_optimal_config`): hints — usually
@@ -1023,70 +1012,59 @@ def find_serving_config(
     # must not be imported at module load (keeps numpy off the scalar path).
     from repro.core import batch_eval
 
-    eval_mode = batch_eval.validate_eval_mode(eval_mode)
-    if eval_mode == "batch" and backend != DEFAULT_BACKEND:
-        raise ValueError(
-            f"eval_mode='batch' vectorizes the analytic closed forms and is "
-            f"only exact against backend={DEFAULT_BACKEND!r}; got {backend!r}"
-        )
+    batch_eval.validate_eval_mode(eval_mode, backend)
     if objective not in SERVING_OBJECTIVES:
         raise ValueError(
             f"unknown serving objective {objective!r}; expected one of {SERVING_OBJECTIVES}"
         )
-    maximize = objective == "throughput"
-    sign = -1.0 if maximize else 1.0
+    caches_before = cache_stats()
     serving_space = _serving_space(space)
     # The enumeration must apply the *prompt's* divisibility rules (the
     # prefill sequence is what tensor parallelism shards at inference).
     prefill_model = model.scaled(seq_len=serving.prompt_tokens)
     prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
+    sign = -1.0 if objective == "throughput" else 1.0
     pricer = get_backend(backend)(system)
 
-    n_parallel = 0
-    n_eval = 0
-    n_mem = 0
-    n_other = 0
-    n_bounds = 0
-    n_pruned = 0
+    def evaluate(config: ParallelConfig, assignment: GpuAssignment) -> ServingEstimate:
+        """Serving estimate of one candidate."""
+        return _evaluate_serving(model, system, config, assignment, serving, options, pricer)
 
-    # Warm-start seeding (see repro.core.search._seed_from_hints): every
-    # adapted hint is a member of this point's serving space, so its
-    # sign-adjusted score is a true upper bound on the best score and
-    # strict-> pruning against it never discards the optimum or a tie.
-    seed_threshold = math.inf
-    warm_hits = 0
-    warm_time = 0.0
+    def evaluate_hint(config: ParallelConfig, assignment: GpuAssignment):
+        """:func:`evaluate`, or ``None`` for a structurally invalid hint.
+
+        Pass 1 rejects such parallelizations before pass 2 prices them; a
+        warm hint has no such filter.
+        """
+        try:
+            return evaluate(config, assignment)
+        except ValueError:
+            return None
+
+    def score(est: Optional[ServingEstimate]) -> Optional[float]:
+        """Sign-adjusted objective (the kernel minimises); ``None`` if infeasible."""
+        if est is None or not est.feasible:
+            return None
+        return sign * est.objective_value(objective)
+
+    price = CandidatePricer(evaluate, score, system.nvs_domain_size, serving_space)
+    incumbent = BestK(top_k, prune)
+
+    seeded = SearchStatistics()
     if warm_hints and prune and top_k == 0:
-        from repro.core.search import adapt_warm_hints
-
-        t0 = _time.perf_counter()
-        for config in adapt_warm_hints(
-            prefill_model, n_gpus, n_gpus, "tp1d", serving_space, warm_hints
-        ):
-            best_score = math.inf
-            for assignment in gpu_assignments(
-                config, system.nvs_domain_size, serving_space
-            ):
-                n_eval += 1
-                try:
-                    est = _evaluate_serving(
-                        model, system, config, assignment, serving, options, pricer
-                    )
-                except ValueError:
-                    continue
-                if est.feasible:
-                    best_score = min(best_score, sign * est.objective_value(objective))
-            if best_score < math.inf:
-                warm_hits += 1
-                seed_threshold = min(seed_threshold, best_score)
-        warm_time = _time.perf_counter() - t0
+        seeded = warm_seed(
+            CandidatePricer(evaluate_hint, score, system.nvs_domain_size, serving_space),
+            incumbent,
+            prefill_model, n_gpus, n_gpus, "tp1d", serving_space, warm_hints,
+        )
 
     # Pass 1: the zero-communication evaluation doubles as the memory /
     # saturation pre-filter (bound-infeasibility is assignment-independent)
     # and, when pruning, as the candidate ordering score.
-    survivors: List[Tuple[float, int, ParallelConfig]] = []
-    for config in parallel_configs(
-        prefill_model, n_gpus, n_gpus, "tp1d", serving_space
+    survivors: List[Survivor] = []
+    n_parallel = n_mem = n_other = n_bounds = 0
+    for rank, config in enumerate(
+        parallel_configs(prefill_model, n_gpus, n_gpus, "tp1d", serving_space)
     ):
         n_parallel += 1
         try:
@@ -1100,67 +1078,10 @@ def find_serving_config(
         if not bound_feasible:
             n_mem += 1
             continue
-        survivors.append((sign * bound_value, len(survivors), config))
+        survivors.append(Survivor(sign * bound_value, rank, config))
     if prune:
-        survivors.sort(key=lambda item: item[0])
-
-    # Pass 2: assignment loops in best-bound-first order, pruned against
-    # the incumbent (or the k-th best, preserving the exact top-k set).
-    # Scores are ``objective`` for minimised objectives and ``-objective``
-    # for the maximised one, so the loop body is shared.
-    best: Optional[ServingEstimate] = None
-    best_key: Tuple[float, int, int] = (math.inf, -1, -1)
-    topk_heap: List[Tuple[float, int, int, ServingEstimate]] = []
-    for idx, (bound_score, rank, config) in enumerate(survivors):
-        if prune:
-            if top_k > 0:
-                threshold = -topk_heap[0][0] if len(topk_heap) >= top_k else math.inf
-            else:
-                threshold = best_key[0] if best is not None else math.inf
-                threshold = min(threshold, seed_threshold)
-            if bound_score > threshold:
-                n_pruned += len(survivors) - idx
-                break
-        assignments = gpu_assignments(config, system.nvs_domain_size, serving_space)
-        prefill_comms: Optional[List[Tuple[float, float]]] = None
-        if eval_mode == "batch":
-            pf_comm, pf_p2p = batch_eval.batch_serving_prefill_comm(
-                model,
-                system,
-                config,
-                assignments,
-                prompt_tokens=serving.prompt_tokens,
-                options=options,
-            )
-            prefill_comms = [
-                (float(c), float(p)) for c, p in zip(pf_comm, pf_p2p)
-            ]
-        for assign_idx, assignment in enumerate(assignments):
-            n_eval += 1
-            est = _evaluate_serving(
-                model, system, config, assignment, serving, options, pricer,
-                _prefill_comm=(
-                    prefill_comms[assign_idx] if prefill_comms is not None else None
-                ),
-            )
-            if not est.feasible:
-                n_mem += 1
-                continue
-            score = sign * est.objective_value(objective)
-            key = (score, rank, assign_idx)
-            if best is None or key < best_key:
-                best = est
-                best_key = key
-            if top_k > 0:
-                entry = (-score, -rank, -assign_idx, est)
-                if len(topk_heap) < top_k:
-                    heapq.heappush(topk_heap, entry)
-                elif entry > topk_heap[0]:
-                    heapq.heapreplace(topk_heap, entry)
-
-    leaderboard = [
-        est for _, _, _, est in sorted(topk_heap, key=lambda e: (-e[0], -e[1], -e[2]))
-    ]
+        survivors.sort(key=lambda item: item.bound)
+    searched = branch_and_bound(survivors, price, incumbent)
 
     return ServingSearchResult(
         model_name=model.name,
@@ -1168,17 +1089,14 @@ def find_serving_config(
         n_gpus=n_gpus,
         objective=objective,
         serving=serving,
-        best=best,
-        top_k=leaderboard,
-        statistics=SearchStatistics(
+        best=incumbent.best.estimate if incumbent.best is not None else None,
+        top_k=[row.estimate for row in incumbent.leaderboard()],
+        statistics=search_statistics(
+            caches_before, seeded, searched,
             parallel_configs=n_parallel,
-            candidates_evaluated=n_eval,
             infeasible_memory=n_mem,
             infeasible_other=n_other,
             bounds_computed=n_bounds,
-            pruned_configs=n_pruned,
-            warm_start_hits=warm_hits,
-            warm_seed_time=warm_time,
         ),
         backend=backend,
     )

@@ -21,7 +21,6 @@ from repro.core.parallelism.tp1d import TensorParallel1D
 from repro.core.parallelism.tp2d import TensorParallel2D
 from repro.core.parallelism.summa import TensorParallelSUMMA
 from repro.core.parallelism.pipeline import (
-    PipelineTiming,
     pipeline_bubble_time,
     pipeline_p2p_volume_bytes,
     in_flight_microbatches,
@@ -37,7 +36,6 @@ __all__ = [
     "GpuAssignment",
     "LayerWorkload",
     "ParallelConfig",
-    "PipelineTiming",
     "STRATEGY_REGISTRY",
     "SummaMatmul",
     "TensorParallel1D",

@@ -11,69 +11,12 @@ Which ramp applies, how many microbatches are in flight, and how often a
 microbatch crosses this GPU's boundaries are *schedule* decisions; they live
 in the pluggable :mod:`repro.core.schedules` registry (1F1B — the paper's
 default — GPipe, and interleaved-1F1B with a virtual-stage degree).
-:class:`PipelineTiming` below is the legacy 1F1B summary object kept for
-diagnostics and the simulator (``PipelineSchedule`` remains as a
-deprecated alias so existing imports keep working).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import ParallelConfig
-
-
-@dataclass(frozen=True)
-class PipelineTiming:
-    """Summary of a 1F1B pipeline execution for one training iteration.
-
-    Diagnostics/simulator helper only — the *pluggable* schedule interface
-    lives in :mod:`repro.core.schedules` (whose abstract base is named
-    ``PipelineSchedule``; this class was renamed to avoid shadowing it).
-    """
-
-    num_stages: int
-    num_microbatches: int
-    layers_per_stage: int
-    #: Forward time of one microbatch on one stage (seconds).
-    forward_time: float
-    #: Backward time of one microbatch on one stage (seconds).
-    backward_time: float
-
-    @property
-    def steady_state_time(self) -> float:
-        """Time spent processing all microbatches on one stage."""
-        return self.num_microbatches * (self.forward_time + self.backward_time)
-
-    @property
-    def bubble_time(self) -> float:
-        """Pipeline fill/drain idle time: ``(np - 1) * (tf + tb)``."""
-        return (self.num_stages - 1) * (self.forward_time + self.backward_time)
-
-    @property
-    def total_time(self) -> float:
-        """Steady-state plus bubble time (excludes DP/PP communication)."""
-        return self.steady_state_time + self.bubble_time
-
-    @property
-    def bubble_fraction(self) -> float:
-        """Fraction of the iteration lost to pipeline bubbles."""
-        total = self.total_time
-        if total <= 0:
-            return 0.0
-        return self.bubble_time / total
-
-    @property
-    def in_flight_microbatches(self) -> int:
-        """Microbatches whose activations are simultaneously retained."""
-        return min(self.num_microbatches, self.num_stages)
-
-
-#: Deprecated alias of :class:`PipelineTiming` — kept because downstream
-#: code imported the timing summary under this name before the pluggable
-#: schedule ABC (:class:`repro.core.schedules.PipelineSchedule`) existed.
-PipelineSchedule = PipelineTiming
 
 
 def pipeline_bubble_time(num_stages: int, forward_time: float, backward_time: float) -> float:

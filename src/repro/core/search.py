@@ -8,27 +8,28 @@ evaluates the analytical iteration time of each, discards configurations
 that do not fit in HBM and returns the fastest feasible one (plus search
 diagnostics and, optionally, the top-k runners-up).
 
-A cheap memory pre-filter runs before the full time evaluation: the memory
-footprint does not depend on the NVS assignment, so infeasible
-parallelizations are rejected before the assignment loop.
-
-On top of the pre-filter, the search runs branch-and-bound pruning (see
-:class:`repro.core.config_space.SearchSpace.prune_with_lower_bound`):
-parallelizations are ordered by an assignment-independent compute-only
-lower bound and, once the incumbent optimum beats a parallelization's
-bound, its entire NVS-assignment loop — and that of every later, worse
-bound — is skipped.  The selected optimum (and top-k set) is provably
-unchanged; :class:`SearchStatistics` records how much work was avoided.
+Every search here — training, Pareto and (in :mod:`repro.core.inference`)
+serving — runs in two passes.  Pass 1 is the caller's own: it rejects
+parallelizations that cannot be feasible under any NVS assignment and
+attaches an assignment-independent admissible bound to the rest.  Pass 2
+is one shared kernel, :func:`branch_and_bound`: survivors are priced
+best-bound-first in chunks by a *pricer* (per-candidate
+:func:`~repro.core.execution.evaluate_config`, the vectorized
+:mod:`repro.core.batch_eval`, or the serving evaluator) and offered to an
+*incumbent* (:class:`BestK`, or the Pareto frontier archive) whose pruning
+test skips every parallelization whose bound cannot contribute.  The
+selected optimum (and top-k set, and frontier) is provably unchanged;
+:class:`SearchStatistics` records how much work was avoided.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config_space import (
     DEFAULT_SEARCH_SPACE,
@@ -129,23 +130,9 @@ class SearchStatistics:
     warm_seed_time: float = field(default=0.0, compare=False)
 
     def merged(self, other: "SearchStatistics") -> "SearchStatistics":
-        """Combine statistics of two (sub-)searches."""
+        """Combine statistics of two (sub-)searches (every field is summed)."""
         return SearchStatistics(
-            parallel_configs=self.parallel_configs + other.parallel_configs,
-            candidates_evaluated=self.candidates_evaluated + other.candidates_evaluated,
-            infeasible_memory=self.infeasible_memory + other.infeasible_memory,
-            infeasible_other=self.infeasible_other + other.infeasible_other,
-            bounds_computed=self.bounds_computed + other.bounds_computed,
-            pruned_configs=self.pruned_configs + other.pruned_configs,
-            shared_incumbent_prunes=(
-                self.shared_incumbent_prunes + other.shared_incumbent_prunes
-            ),
-            warm_start_hits=self.warm_start_hits + other.warm_start_hits,
-            warm_seed_time=self.warm_seed_time + other.warm_seed_time,
-            workload_cache_hits=self.workload_cache_hits + other.workload_cache_hits,
-            workload_cache_misses=self.workload_cache_misses + other.workload_cache_misses,
-            stage_cache_hits=self.stage_cache_hits + other.stage_cache_hits,
-            stage_cache_misses=self.stage_cache_misses + other.stage_cache_misses,
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
 
@@ -300,180 +287,335 @@ def adapt_warm_hints(
     return adapted
 
 
-def _seed_from_hints(
+# ----------------------------------------------------------------------
+# Branch-and-bound kernel
+# ----------------------------------------------------------------------
+
+class Survivor(NamedTuple):
+    """A parallelization that passed a search's pass 1."""
+
+    #: Admissible bound on every candidate of the parallelization: a score
+    #: for :class:`BestK`, a canonical bound vector for the Pareto archive.
+    bound: object
+    #: Deterministic tie-break position: the enumeration rank (the Pareto
+    #: search prefixes the strategy index).
+    rank: object
+    config: ParallelConfig
+    #: ``(offset, slope)`` per objective (Pareto search only).
+    coeffs: tuple = ()
+
+
+class Row(NamedTuple):
+    """One priced (parallelization, NVS assignment) candidate."""
+
+    #: Minimised score — the iteration time, or the sign-adjusted serving
+    #: objective; ``None`` when the candidate is infeasible.
+    score: Optional[float]
+    survivor: Survivor
+    assign_idx: int
+    assignment: GpuAssignment
+    #: The estimate the pricer built (``None`` when it priced a time only).
+    estimate: object = None
+
+
+def branch_and_bound(survivors: Sequence[Survivor], price, incumbent) -> SearchStatistics:
+    """Pass 2 of every search: price survivors best-bound-first.
+
+    ``survivors`` are visited in order, ``price.chunk`` unpruned ones at a
+    time.  Before each chunk the ``incumbent`` hands out its pruning test
+    (:meth:`BestK.pruner`, :meth:`_FrontierArchive.pruner`); survivors it
+    rejects are counted and skipped, the rest are priced by ``price`` into
+    :class:`Row` objects, and the feasible rows are offered back to the
+    incumbent, which may tighten the test for the next chunk.  Pruning is
+    sound whenever the incumbent only rejects a survivor whose bound proves
+    it cannot contribute to the result, so the outcome never depends on the
+    chunk size — only the amount of work does.
+    """
+    evaluated = infeasible = pruned = 0
+    i, n = 0, len(survivors)
+    while i < n:
+        prunes = incumbent.pruner()
+        chunk: List[Survivor] = []
+        while i < n and len(chunk) < price.chunk:
+            if prunes(survivors[i].bound):
+                pruned += 1
+            else:
+                chunk.append(survivors[i])
+            i += 1
+        if chunk:
+            rows = price(chunk)
+            feasible = [row for row in rows if row.score is not None]
+            evaluated += len(rows)
+            infeasible += len(rows) - len(feasible)
+            incumbent.offer(feasible)
+    return SearchStatistics(
+        candidates_evaluated=evaluated, infeasible_memory=infeasible, pruned_configs=pruned
+    )
+
+
+class BestK:
+    """Single-objective incumbent: the best row plus a top-``k`` leaderboard.
+
+    Rows are keyed by ``(score, rank, assignment index)``, so exact score ties
+    resolve by enumeration order whatever order they were priced in.  The
+    pruning threshold is the best score — or, with ``top_k > 0``, the k-th
+    best, so pruning also preserves the exact top-k set — tightened by the
+    warm seed (:meth:`seed`) and by a shared
+    :class:`~repro.core.batch_eval.IncumbentBoard`: ``consume_keys`` are the
+    scopes read, ``publish_key`` the scope this search's improvements are
+    published under.  A survivor is pruned only when its bound *exceeds*
+    the threshold, so an exact tie with the incumbent is still priced.
+    """
+
+    def __init__(
+        self,
+        top_k: int = 0,
+        prune: bool = True,
+        board=None,
+        consume_keys: Sequence[str] = (),
+        publish_key: Optional[str] = None,
+    ) -> None:
+        self.top_k = top_k
+        self.prune = prune
+        self.board = board
+        self.consume_keys = tuple(consume_keys)
+        self.publish_key = publish_key
+        self.best: Optional[Row] = None
+        self._best_key: tuple = (math.inf, -1, -1)
+        self._seed = math.inf
+        self._heap: List[tuple] = []
+        self._pruned_bounds: List[float] = []
+
+    def _threshold(self) -> float:
+        """The threshold this search's own rows and seed justify."""
+        if not self.prune:
+            return math.inf
+        if self.top_k > 0:
+            return -self._heap[0][0] if len(self._heap) >= self.top_k else math.inf
+        return min(self._best_key[0], self._seed)
+
+    def pruner(self):
+        """Pruning test for the next chunk (the board is read once per chunk)."""
+        threshold = self._threshold()
+        if self.board is not None:
+            threshold = min(threshold, self.board.get(self.consume_keys))
+
+        def prunes(bound: float) -> bool:
+            if bound > threshold:
+                self._pruned_bounds.append(bound)
+                return True
+            return False
+
+        return prunes
+
+    @property
+    def shared_prunes(self) -> int:
+        """Pruned survivors this search's own final threshold would have kept.
+
+        Only a bound shared through the board can prune those, so this is
+        the board's share of the pruning (0 without a board).
+        """
+        own = self._threshold()
+        return sum(1 for bound in self._pruned_bounds if bound <= own)
+
+    def seed(self, rows: Sequence[Row]) -> int:
+        """Open the threshold with priced warm-hint rows; returns the hits.
+
+        Every hint is a member of the searched space, so its best feasible
+        score bounds the optimum from above and pruning against it can never
+        discard the optimum or an exact tie.  A seed only tightens the
+        threshold: it is never reported, because the enumeration prices the
+        same candidate again under its own tie-break rank.  A hit is a hint
+        with at least one feasible assignment.
+        """
+        feasible = [row for row in rows if row.score is not None]
+        if feasible:
+            self._seed = min(row.score for row in feasible)
+            self._publish(self._seed)
+        return len({row.survivor.rank for row in feasible})
+
+    def offer(self, rows: Sequence[Row]) -> None:
+        """Fold feasible rows into the best row and the leaderboard."""
+        for row in rows:
+            key = (row.score, row.survivor.rank, row.assign_idx)
+            if self.best is None or key < self._best_key:
+                self.best, self._best_key = row, key
+            if self.top_k > 0:
+                # Max-heap of the k best: heap[0] is the worst kept entry.
+                entry = (-key[0], -key[1], -key[2], row)
+                if len(self._heap) < self.top_k:
+                    heapq.heappush(self._heap, entry)
+                elif entry > self._heap[0]:
+                    heapq.heapreplace(self._heap, entry)
+        if self.best is not None:
+            self._publish(self._best_key[0])
+
+    def leaderboard(self) -> List[Row]:
+        """The top-k rows, best first."""
+        return [e[-1] for e in sorted(self._heap, key=lambda e: (-e[0], -e[1], -e[2]))]
+
+    def _publish(self, score: float) -> None:
+        """Offer ``score`` to the board under this search's scope."""
+        if self.board is not None and self.publish_key is not None:
+            self.board.publish(self.publish_key, score)
+
+
+class CandidatePricer:
+    """Per-candidate pricer: one ``evaluate(config, assignment)`` call each.
+
+    ``score(estimate)`` turns an estimate into the minimised score, or
+    ``None`` when the candidate is infeasible.  Rows keep the estimates, so
+    no winner is priced twice.
+    """
+
+    chunk = 1
+
+    def __init__(self, evaluate, score, nvs_domain_size: int, space: SearchSpace) -> None:
+        self.evaluate, self.score = evaluate, score
+        self.nvs_domain_size, self.space = nvs_domain_size, space
+
+    def candidates(self, survivors: Sequence[Survivor]):
+        """``(survivor, assignment index, assignment)`` of every candidate."""
+        for item in survivors:
+            for assign_idx, assignment in enumerate(
+                gpu_assignments(item.config, self.nvs_domain_size, self.space)
+            ):
+                yield item, assign_idx, assignment
+
+    def __call__(self, survivors: Sequence[Survivor]) -> List[Row]:
+        """Price every candidate of ``survivors``, in enumeration order."""
+        rows = []
+        for item, assign_idx, assignment in self.candidates(survivors):
+            estimate = self.evaluate(item.config, assignment)
+            rows.append(Row(self.score(estimate), item, assign_idx, assignment, estimate))
+        return rows
+
+    def estimate(self, row: Row):
+        """A row's estimate, priced through ``evaluate`` if it carries none."""
+        if row.estimate is not None:
+            return row.estimate
+        return self.evaluate(row.survivor.config, row.assignment)
+
+
+class _BatchPricer(CandidatePricer):
+    """Vectorized training pricer: one ``times(candidates)`` call per chunk.
+
+    A chunk is :data:`_BATCH_CHUNK_CONFIGS` parallelizations.  Pass 1 has
+    already established feasibility (memory does not depend on the
+    assignment), so every row is a contender.  The batch times are bit-exact
+    against the scalar oracle; rows carry no estimate, so winners are
+    re-priced through ``evaluate`` by :meth:`estimate`.
+    """
+
+    chunk = _BATCH_CHUNK_CONFIGS
+
+    def __init__(self, evaluate, times, nvs_domain_size: int, space: SearchSpace) -> None:
+        super().__init__(evaluate, None, nvs_domain_size, space)
+        self.times = times
+
+    def __call__(self, survivors: Sequence[Survivor]) -> List[Row]:
+        """Price every candidate of ``survivors`` in one array program."""
+        candidates = list(self.candidates(survivors))
+        times = self.times([(item.config, assignment) for item, _, assignment in candidates])
+        return [
+            Row(float(t), item, assign_idx, assignment)
+            for (item, assign_idx, assignment), t in zip(candidates, times)
+        ]
+
+
+def _training_pricers(
+    eval_mode: str,
     model: TransformerConfig,
     system: SystemSpec,
-    n_gpus: int,
     global_batch_size: int,
-    strategy: str,
     space: SearchSpace,
     options: ModelingOptions,
     backend: str,
-    warm_hints: Sequence,
-) -> Tuple[float, int, int]:
-    """Evaluate warm hints at the current point before enumeration.
+) -> Tuple[CandidatePricer, CandidatePricer]:
+    """``(pass-2 pricer, per-candidate pricer)`` of a training or Pareto search.
 
-    Returns ``(seed_threshold, hits, evaluations)``.  The threshold is the
-    best feasible time among the adapted hints (``inf`` when none is
-    feasible); since every adapted hint is a member of the current space,
-    the threshold is a true upper bound on this strategy's optimum, and
-    strict-``>`` pruning against it can never discard the optimum or an
-    exact tie — the search result is bit-identical to a cold run.
+    ``eval_mode`` picks the pass-2 pricer; warm seeds always use the
+    per-candidate :func:`evaluate_config` one.
     """
-    threshold = math.inf
-    hits = 0
-    n_eval = 0
-    for config in adapt_warm_hints(
-        model, n_gpus, global_batch_size, strategy, space, warm_hints
-    ):
-        best_time = math.inf
-        for assignment in gpu_assignments(config, system.nvs_domain_size, space):
-            n_eval += 1
-            estimate = evaluate_config(
-                model,
-                system,
-                config,
-                assignment,
-                global_batch_size=global_batch_size,
-                options=options,
-                backend=backend,
-            )
-            if estimate.feasible and estimate.total_time < best_time:
-                best_time = estimate.total_time
-        if best_time < math.inf:
-            hits += 1
-            if best_time < threshold:
-                threshold = best_time
-    return threshold, hits, n_eval
 
+    def evaluate(config: ParallelConfig, assignment: GpuAssignment) -> IterationEstimate:
+        """The scalar oracle's estimate of one candidate."""
+        return evaluate_config(
+            model, system, config, assignment,
+            global_batch_size=global_batch_size, options=options, backend=backend,
+        )
 
-def _batch_pass_two(
-    model: TransformerConfig,
-    system: SystemSpec,
-    global_batch_size: int,
-    space: SearchSpace,
-    options: ModelingOptions,
-    top_k: int,
-    prune: bool,
-    survivors: List[Tuple[float, int, ParallelConfig]],
-    board,
-    consume_keys: Sequence[str],
-    publish_key: Optional[str],
-    seed_threshold: float = math.inf,
-) -> Tuple[Optional[IterationEstimate], List[IterationEstimate], int, int, int]:
-    """Vectorized pass 2: price survivors in bound-ordered chunks.
-
-    Chunks of parallelizations are expanded into (config, assignment) rows
-    and priced by :func:`repro.core.batch_eval.batch_candidate_times` — one
-    NumPy array program per chunk instead of one ``evaluate_config`` call
-    per candidate.  The branch-and-bound threshold (the incumbent best, or
-    the k-th best with a leaderboard) refreshes between chunks rather than
-    between candidates, so batch mode may *evaluate* a few more candidates
-    than scalar mode near the pruning frontier — but since pruning remains
-    sound, the selected optimum and the exact top-k set are identical, and
-    the winners are re-priced through the scalar oracle so the returned
-    :class:`IterationEstimate` objects (plans included) are bit-identical
-    to the scalar path's.
-
-    With ``top_k == 0`` the threshold additionally consults the shared
-    :class:`~repro.core.batch_eval.IncumbentBoard` (``consume_keys``) and
-    publishes improvements under ``publish_key``.  A shared bound is a true
-    feasible time of the consumed scope, so it can only prune candidates
-    that cannot win; prunes that only the shared bound explains are
-    tallied separately (the fifth return value).  ``seed_threshold`` — the
-    best feasible time of the warm-start hints, already evaluated at this
-    point — tightens the threshold the same sound way from the very first
-    chunk.
-
-    Returns ``(best, leaderboard, evaluated, pruned, shared_prunes)``.
-    """
+    scalar = CandidatePricer(
+        evaluate, lambda est: est.total_time if est.feasible else None,
+        system.nvs_domain_size, space,
+    )
+    if eval_mode != "batch":
+        return scalar, scalar
     from repro.core import batch_eval
 
-    best_row: Optional[Tuple[ParallelConfig, GpuAssignment]] = None
-    best_key: Tuple[float, int, int] = (math.inf, -1, -1)
-    topk_heap: List[tuple] = []
-    n_eval = 0
-    n_pruned = 0
-    n_shared = 0
-    share = board is not None and top_k == 0 and prune
-    bounds = [item[0] for item in survivors]
-
-    i = 0
-    while i < len(survivors):
-        local_threshold = math.inf
-        if prune:
-            if top_k > 0:
-                if len(topk_heap) >= top_k:
-                    local_threshold = -topk_heap[0][0]
-            else:
-                local_threshold = min(best_key[0], seed_threshold)
-        threshold = local_threshold
-        if share:
-            threshold = min(threshold, board.get(consume_keys))
-        if prune and bounds[i] > threshold:
-            n_pruned += len(survivors) - i
-            if threshold < local_threshold:
-                # Survivors the local incumbent alone would have kept alive.
-                n_shared += bisect.bisect_right(bounds, local_threshold, i) - i
-            break
-        j = min(i + _BATCH_CHUNK_CONFIGS, len(survivors))
-        if prune:
-            # Bound-sorted: everything past the first too-large bound is
-            # prunable; leave it for the next iteration's threshold check.
-            j = bisect.bisect_right(bounds, threshold, i, j)
-        rows: List[Tuple[int, ParallelConfig, int, GpuAssignment]] = []
-        for _, rank, config in survivors[i:j]:
-            assignments = gpu_assignments(config, system.nvs_domain_size, space)
-            rows.extend(
-                (rank, config, assign_idx, assignment)
-                for assign_idx, assignment in enumerate(assignments)
-            )
-        n_eval += len(rows)
-        times = batch_eval.batch_candidate_times(
-            model,
-            system,
-            [(config, assignment) for _, config, _, assignment in rows],
-            global_batch_size=global_batch_size,
-            options=options,
-        )
-        for (rank, config, assign_idx, assignment), time in zip(rows, times):
-            # Pass 1 already established feasibility (memory is
-            # assignment-independent), so every row is a contender.
-            time = float(time)
-            key = (time, rank, assign_idx)
-            if best_row is None or key < best_key:
-                best_row = (config, assignment)
-                best_key = key
-            if top_k > 0:
-                entry = (-time, -rank, -assign_idx, (config, assignment))
-                if len(topk_heap) < top_k:
-                    heapq.heappush(topk_heap, entry)
-                elif entry > topk_heap[0]:
-                    heapq.heapreplace(topk_heap, entry)
-        if share and publish_key is not None and best_row is not None:
-            board.publish(publish_key, best_key[0])
-        i = j
-
-    def _scalar(config: ParallelConfig, assignment: GpuAssignment) -> IterationEstimate:
-        return evaluate_config(
-            model,
-            system,
-            config,
-            assignment,
-            global_batch_size=global_batch_size,
-            options=options,
-            backend=DEFAULT_BACKEND,
+    def times(candidates):
+        return batch_eval.batch_candidate_times(
+            model, system, candidates, global_batch_size=global_batch_size, options=options
         )
 
-    best = _scalar(*best_row) if best_row is not None else None
-    leaderboard = [
-        _scalar(*row)
-        for _, _, _, row in sorted(topk_heap, key=lambda e: (-e[0], -e[1], -e[2]))
-    ]
-    return best, leaderboard, n_eval, n_pruned, n_shared
+    return _BatchPricer(evaluate, times, system.nvs_domain_size, space), scalar
 
 
-def _search_single_strategy(
+def warm_seed(price, incumbent: BestK, *adapt_args) -> SearchStatistics:
+    """Price the warm hints adapted to this point and seed ``incumbent``.
+
+    ``adapt_args`` are :func:`adapt_warm_hints`'s positional arguments.
+    Returns the seeding's statistics: candidates priced, hits, seconds.
+    """
+    t0 = time.perf_counter()
+    hints = adapt_warm_hints(*adapt_args)
+    rows = price([Survivor(0.0, rank, config) for rank, config in enumerate(hints)])
+    hits = incumbent.seed(rows)
+    return SearchStatistics(
+        candidates_evaluated=len(rows),
+        warm_start_hits=hits,
+        warm_seed_time=time.perf_counter() - t0,
+    )
+
+
+def search_statistics(
+    caches_before: Dict[str, Dict[str, int]], *parts: SearchStatistics, **counts
+) -> SearchStatistics:
+    """Statistics of one search: ``counts`` plus ``parts`` plus cache deltas.
+
+    ``caches_before`` is :func:`~repro.core.execution.cache_stats` taken
+    when the search started; the memoization caches' hits and misses since
+    then are filled in.
+    """
+    after = cache_stats()
+
+    def delta(cache: str, counter: str) -> int:
+        return after[cache][counter] - caches_before[cache][counter]
+
+    stats = SearchStatistics(
+        workload_cache_hits=delta("workload", "hits"),
+        workload_cache_misses=delta("workload", "misses"),
+        stage_cache_hits=delta("stage_times", "hits"),
+        stage_cache_misses=delta("stage_times", "misses"),
+        **counts,
+    )
+    for part in parts:
+        stats = stats.merged(part)
+    return stats
+
+
+def resolve_strategies(strategy: str | Sequence[str]) -> Tuple[str, ...]:
+    """Strategy names a search runs: ``"all"``, one name, or a sequence."""
+    if isinstance(strategy, str):
+        strategies = ALL_STRATEGIES if strategy == "all" else (strategy,)
+    else:
+        strategies = tuple(strategy)
+    if not strategies:
+        raise ValueError("at least one strategy is required")
+    return strategies
+
+
+def _feasible_survivors(
     model: TransformerConfig,
     system: SystemSpec,
     n_gpus: int,
@@ -481,58 +623,21 @@ def _search_single_strategy(
     strategy: str,
     space: SearchSpace,
     options: ModelingOptions,
-    top_k: int,
-    backend: str = DEFAULT_BACKEND,
-    eval_mode: str = DEFAULT_EVAL_MODE,
-    board=None,
-    consume_keys: Sequence[str] = (),
-    publish_key: Optional[str] = None,
-    warm_hints: Sequence = (),
-) -> SearchResult:
-    best: Optional[IterationEstimate] = None
-    n_parallel = 0
-    n_eval = 0
-    n_mem = 0
-    n_other = 0
-    n_bounds = 0
-    n_pruned = 0
-    caches_before = cache_stats()
-    # The compute-only lower bound is provably admissible for the analytic
-    # evaluation; a simulated bubble may legitimately undercut the closed
-    # form, so pruning is disabled for any non-default backend.
-    prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
+    prune: bool,
+) -> Tuple[List[Survivor], SearchStatistics]:
+    """Pass 1 of training and Pareto search: memory filter, then time bound.
 
-    # Warm-start seeding: evaluate carried-over hints at *this* point first
-    # and open the branch-and-bound with their best feasible time.  Only
-    # meaningful with pruning on, and only sound for a best-only search — a
-    # top-k leaderboard prunes on the k-th best, which a single seed time
-    # would over-tighten.
-    seed_threshold = math.inf
-    warm_hits = 0
-    warm_time = 0.0
-    if warm_hints and prune and top_k == 0:
-        t0 = time.perf_counter()
-        seed_threshold, warm_hits, n_seed = _seed_from_hints(
-            model, system, n_gpus, global_batch_size, strategy, space,
-            options, backend, warm_hints,
-        )
-        warm_time = time.perf_counter() - t0
-        n_eval += n_seed
-        if board is not None and publish_key is not None and warm_hits:
-            # A seed is a true feasible time of this scope: publishing it
-            # lets sibling strategies and sweep workers prune against it.
-            board.publish(publish_key, seed_threshold)
-
-    # Pass 1: memory pre-filter (assignment-independent), then compute the
-    # cheap compute-only lower bound of every surviving parallelization so
-    # the expensive NVS-assignment loops run in best-bound-first order.
-    # Each survivor keeps its enumeration rank: exact-tie candidates are
-    # resolved by (time, rank, assignment index) below, so the winner is
-    # the same whether or not the bound-sorted order was applied.
-    survivors: List[Tuple[float, int, ParallelConfig]] = []
-    for config in parallel_configs(model, n_gpus, global_batch_size, strategy, space):
+    Memory does not depend on the NVS assignment, so HBM-infeasible
+    parallelizations are rejected before any assignment is priced.  With
+    pruning, each survivor carries the compute-only lower bound that orders
+    pass 2; otherwise its bound is 0.  Survivors come in enumeration order.
+    """
+    survivors: List[Survivor] = []
+    n_parallel = n_mem = n_other = n_bounds = 0
+    for rank, config in enumerate(
+        parallel_configs(model, n_gpus, global_batch_size, strategy, space)
+    ):
         n_parallel += 1
-        # Memory does not depend on the assignment: reject early.
         try:
             memory = estimate_config_memory(
                 model, config, global_batch_size=global_batch_size, options=options
@@ -549,84 +654,50 @@ def _search_single_strategy(
                 model, system, config, global_batch_size=global_batch_size, options=options
             )
             n_bounds += 1
-        survivors.append((bound, len(survivors), config))
-    if prune:
-        survivors.sort(key=lambda item: item[0])
+        survivors.append(Survivor(bound, rank, config))
+    return survivors, SearchStatistics(
+        parallel_configs=n_parallel,
+        infeasible_memory=n_mem,
+        infeasible_other=n_other,
+        bounds_computed=n_bounds,
+    )
 
-    # Pass 2: evaluate assignments, skipping every parallelization whose
-    # lower bound cannot beat the incumbent.  ``threshold`` is the incumbent
-    # best time — or, when a top-k leaderboard is requested, the k-th best
-    # time so far, so that pruning also preserves the exact top-k set.
-    #
-    # The leaderboard is a bounded max-heap of the k best estimates keyed by
-    # (-time, -enumeration rank, -assignment index): heap[0] is the worst
-    # kept entry — which doubles as the pruning threshold — and exact time
-    # ties resolve by enumeration order, independent of evaluation order.
-    n_shared = 0
-    if eval_mode == "batch":
-        best, leaderboard, n_batch_eval, n_pruned, n_shared = _batch_pass_two(
-            model,
-            system,
-            global_batch_size,
-            space,
-            options,
-            top_k,
-            prune,
-            survivors,
-            board,
-            consume_keys,
-            publish_key,
-            seed_threshold,
+
+def _search_single_strategy(
+    model: TransformerConfig,
+    system: SystemSpec,
+    n_gpus: int,
+    global_batch_size: int,
+    strategy: str,
+    space: SearchSpace,
+    options: ModelingOptions,
+    backend: str,
+    eval_mode: str,
+    incumbent: BestK,
+    warm_hints: Sequence,
+) -> SearchResult:
+    """One strategy of :func:`find_optimal_config`: pass 1, then the kernel."""
+    caches_before = cache_stats()
+    price, scalar = _training_pricers(
+        eval_mode, model, system, global_batch_size, space, options, backend
+    )
+    # Warm seeds suit a pruned best-only search: a top-k leaderboard prunes
+    # on the k-th best, which a single seed score would over-tighten.
+    seeded = SearchStatistics()
+    if warm_hints and incumbent.prune and incumbent.top_k == 0:
+        seeded = warm_seed(
+            scalar, incumbent, model, n_gpus, global_batch_size, strategy, space, warm_hints
         )
-        n_eval += n_batch_eval
-    else:
-        topk_heap: List[Tuple[float, int, int, IterationEstimate]] = []
-        best_key: Tuple[float, int, int] = (math.inf, -1, -1)
-        for idx, (bound, rank, config) in enumerate(survivors):
-            if prune:
-                if top_k > 0:
-                    threshold = -topk_heap[0][0] if len(topk_heap) >= top_k else math.inf
-                else:
-                    threshold = best.total_time if best is not None else math.inf
-                    threshold = min(threshold, seed_threshold)
-                if bound > threshold:
-                    # Survivors are bound-sorted: no later one can beat (or
-                    # exactly tie, hence the strict >) the incumbent either.
-                    n_pruned += len(survivors) - idx
-                    break
 
-            assignments = gpu_assignments(config, system.nvs_domain_size, space)
-            for assign_idx, assignment in enumerate(assignments):
-                n_eval += 1
-                estimate = evaluate_config(
-                    model,
-                    system,
-                    config,
-                    assignment,
-                    global_batch_size=global_batch_size,
-                    options=options,
-                    backend=backend,
-                )
-                if not estimate.feasible:
-                    n_mem += 1
-                    continue
-                key = (estimate.total_time, rank, assign_idx)
-                if best is None or key < best_key:
-                    best = estimate
-                    best_key = key
-                if top_k > 0:
-                    entry = (-estimate.total_time, -rank, -assign_idx, estimate)
-                    if len(topk_heap) < top_k:
-                        heapq.heappush(topk_heap, entry)
-                    elif entry > topk_heap[0]:
-                        heapq.heapreplace(topk_heap, entry)
+    survivors, filtered = _feasible_survivors(
+        model, system, n_gpus, global_batch_size, strategy, space, options, incumbent.prune
+    )
+    if incumbent.prune:
+        survivors.sort(key=lambda item: item.bound)
+    searched = branch_and_bound(survivors, price, incumbent)
 
-        leaderboard = [
-            est for _, _, _, est in sorted(topk_heap, key=lambda e: (-e[0], -e[1], -e[2]))
-        ]
-
-    caches_after = cache_stats()
-
+    best = price.estimate(incumbent.best) if incumbent.best is not None else None
+    leaderboard = [price.estimate(row) for row in incumbent.leaderboard()]
     return SearchResult(
         model_name=model.name,
         system_name=system.name,
@@ -635,28 +706,9 @@ def _search_single_strategy(
         strategy=strategy,
         best=best,
         top_k=leaderboard,
-        statistics=SearchStatistics(
-            parallel_configs=n_parallel,
-            candidates_evaluated=n_eval,
-            infeasible_memory=n_mem,
-            infeasible_other=n_other,
-            bounds_computed=n_bounds,
-            pruned_configs=n_pruned,
-            shared_incumbent_prunes=n_shared,
-            warm_start_hits=warm_hits,
-            warm_seed_time=warm_time,
-            workload_cache_hits=(
-                caches_after["workload"]["hits"] - caches_before["workload"]["hits"]
-            ),
-            workload_cache_misses=(
-                caches_after["workload"]["misses"] - caches_before["workload"]["misses"]
-            ),
-            stage_cache_hits=(
-                caches_after["stage_times"]["hits"] - caches_before["stage_times"]["hits"]
-            ),
-            stage_cache_misses=(
-                caches_after["stage_times"]["misses"] - caches_before["stage_times"]["misses"]
-            ),
+        statistics=search_statistics(
+            caches_before, seeded, filtered, searched,
+            shared_incumbent_prunes=incumbent.shared_prunes,
         ),
     )
 
@@ -736,12 +788,7 @@ def find_optimal_config(
     # the scalar path and avoids fragile import ordering.
     from repro.core import batch_eval
 
-    eval_mode = batch_eval.validate_eval_mode(eval_mode)
-    if eval_mode == "batch" and backend != DEFAULT_BACKEND:
-        raise ValueError(
-            f"eval_mode='batch' vectorizes the analytic closed forms and is "
-            f"only exact against backend={DEFAULT_BACKEND!r}; got {backend!r}"
-        )
+    eval_mode = batch_eval.validate_eval_mode(eval_mode, backend)
     if objective != TRAINING_OBJECTIVE:
         # Local import: repro.core.inference imports this module for the
         # shared SearchStatistics, so the dependency must stay one-way.
@@ -760,12 +807,11 @@ def find_optimal_config(
             eval_mode=eval_mode,
             warm_hints=warm_hints,
         )
-    if isinstance(strategy, str):
-        strategies: Tuple[str, ...] = ALL_STRATEGIES if strategy == "all" else (strategy,)
-    else:
-        strategies = tuple(strategy)
-    if not strategies:
-        raise ValueError("at least one strategy is required")
+    strategies = resolve_strategies(strategy)
+    # The compute-only lower bound is provably admissible for the analytic
+    # evaluation; a simulated bubble may legitimately undercut the closed
+    # form, so pruning is disabled for any non-default backend.
+    prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
 
     def _run(opts: ModelingOptions) -> List[SearchResult]:
         # Shared-incumbent sharing requires: batch pricing, a plain best-only
@@ -775,7 +821,7 @@ def find_optimal_config(
         # *merged* best: any candidate a sibling's incumbent pruned has time
         # >= its bound > incumbent >= merged best.
         board = None
-        keys: List[str] = []
+        keys: List[Optional[str]] = [None] * len(strategies)
         if eval_mode == "batch" and top_k == 0 and space.prune_with_lower_bound:
             board = batch_eval.incumbent_board()
             keys = batch_eval.incumbent_scope_keys(
@@ -784,11 +830,9 @@ def find_optimal_config(
         return [
             _search_single_strategy(
                 model, system, n_gpus, global_batch_size, strat, space, opts,
-                top_k, backend, eval_mode,
-                board=board,
-                consume_keys=tuple(keys),
-                publish_key=keys[i] if keys else None,
-                warm_hints=warm_hints,
+                backend, eval_mode,
+                BestK(top_k, prune, board, keys if board else (), publish_key=keys[i]),
+                warm_hints,
             )
             for i, strat in enumerate(strategies)
         ]
@@ -800,35 +844,23 @@ def find_optimal_config(
         and not options.activation_checkpointing
         and all(res.best is None for res in results)
     ):
-        from dataclasses import replace as _replace
-
-        results = _run(_replace(options, activation_checkpointing=True))
+        results = _run(replace(options, activation_checkpointing=True))
 
     if len(results) == 1:
         return results[0]
 
     merged_stats = SearchStatistics()
-    best_overall: Optional[IterationEstimate] = None
-    merged_topk: List[IterationEstimate] = []
     for res in results:
         merged_stats = merged_stats.merged(res.statistics)
-        merged_topk.extend(res.top_k)
-        if res.best is not None and (
-            best_overall is None or res.best.total_time < best_overall.total_time
-        ):
-            best_overall = res.best
-    merged_topk.sort(key=lambda est: est.total_time)
-    if top_k > 0:
-        merged_topk = merged_topk[:top_k]
-
+    by_time = attrgetter("total_time")  # min/sorted keep strategy order on ties
     return SearchResult(
         model_name=model.name,
         system_name=system.name,
         n_gpus=n_gpus,
         global_batch_size=global_batch_size,
         strategy="+".join(strategies),
-        best=best_overall,
-        top_k=merged_topk,
+        best=min((res.best for res in results if res.best is not None), key=by_time, default=None),
+        top_k=sorted((est for res in results for est in res.top_k), key=by_time)[:top_k],
         statistics=merged_stats,
     )
 
@@ -933,213 +965,63 @@ def _strictly_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 class _FrontierArchive:
     """Incumbent Pareto frontier of evaluated candidates.
 
-    Entries are ``(vector, order, config, assignment)`` where ``order`` is
-    the deterministic ``(strategy index, enumeration rank, assignment
-    index)`` tie key.  The archive is the multi-objective analogue of the
-    scalar incumbent: :meth:`dominates_bound` is the branch-and-bound
-    pruning test — a parallelization whose admissible bound vector is
-    strictly dominated by an archived point cannot contribute a frontier
-    member (every real candidate of it is ``>=`` the bound componentwise,
-    so the archived point strictly dominates them all; by transitivity the
-    final frontier does too).
+    Entries are ``(vector, order, row)`` where ``order`` is the
+    deterministic ``((strategy index, enumeration rank), assignment index)``
+    tie key.  The archive is the multi-objective incumbent of
+    :func:`branch_and_bound`: its pruning test is :meth:`dominates_bound` —
+    a parallelization whose admissible bound vector is strictly dominated
+    by an archived point cannot contribute a frontier member (every real
+    candidate of it is ``>=`` the bound componentwise, so the archived point
+    strictly dominates them all; by transitivity the final frontier does
+    too).  With ``thin`` (batch eval mode) each offered chunk first goes
+    through the vectorized :func:`~repro.core.batch_eval.non_dominated_mask`:
+    a row strictly dominated within its chunk can never reach the frontier,
+    so thinning is result-identical and saves archive insertions.
     """
 
-    def __init__(self) -> None:
-        self.entries: List[
-            Tuple[Tuple[float, ...], Tuple[int, int, int], ParallelConfig, GpuAssignment]
-        ] = []
+    def __init__(self, prune: bool = True, thin: bool = False) -> None:
+        self.prune = prune
+        self.thin = thin
+        self.entries: List[Tuple[Tuple[float, ...], tuple, Row]] = []
 
     def dominates_bound(self, bound: Sequence[float]) -> bool:
         """True when some archived vector strictly dominates ``bound``."""
-        return any(_strictly_dominates(vec, bound) for vec, _, _, _ in self.entries)
+        return any(_strictly_dominates(vec, bound) for vec, _, _ in self.entries)
 
-    def insert(
-        self,
-        vector: Tuple[float, ...],
-        order: Tuple[int, int, int],
-        config: ParallelConfig,
-        assignment: GpuAssignment,
-    ) -> bool:
-        """Offer a candidate; keep the archive non-dominated.  True if kept."""
-        if self.dominates_bound(vector):
-            return False
-        self.entries = [
-            entry for entry in self.entries if not _strictly_dominates(vector, entry[0])
+    def pruner(self):
+        """Pruning test for the next chunk: dominance of the bound vector."""
+        return self.dominates_bound if self.prune else _never
+
+    def offer(self, rows: Sequence[Row]) -> None:
+        """Fold feasible rows (scored by time) into the frontier."""
+        vectors = [
+            tuple(off + slope * row.score for off, slope in row.survivor.coeffs)
+            for row in rows
         ]
-        self.entries.append((vector, order, config, assignment))
-        return True
+        keep: Sequence[bool] = [True] * len(rows)
+        if self.thin and rows:
+            import numpy as np
+
+            from repro.core import batch_eval
+
+            keep = batch_eval.non_dominated_mask(np.asarray(vectors, dtype=np.float64))
+        for row, vector, kept in zip(rows, vectors, keep):
+            # Keep the archive non-dominated: drop what the row dominates.
+            if kept and not self.dominates_bound(vector):
+                self.entries = [
+                    entry for entry in self.entries
+                    if not _strictly_dominates(vector, entry[0])
+                ]
+                self.entries.append((vector, (row.survivor.rank, row.assign_idx), row))
 
     def sorted_entries(self):
         """Entries in the deterministic report order (vector, then order)."""
         return sorted(self.entries, key=lambda entry: (entry[0], entry[1]))
 
 
-def _pareto_single_strategy(
-    model: TransformerConfig,
-    system: SystemSpec,
-    n_gpus: int,
-    global_batch_size: int,
-    strategy: str,
-    strategy_index: int,
-    space: SearchSpace,
-    options: ModelingOptions,
-    objectives,
-    ctx,
-    archive: _FrontierArchive,
-    backend: str,
-    eval_mode: str,
-) -> SearchStatistics:
-    """Fold one strategy's enumeration into the shared frontier archive.
-
-    The same two-pass structure as the scalar search: a memory pre-filter
-    plus per-objective admissible bound vectors (pass 1, sorted by bound),
-    then candidate evaluation with dominance pruning against the incumbent
-    frontier (pass 2, scalar loop or vectorized chunks).  Sharing one
-    archive across strategies only ever prunes more — dominance is
-    transitive, so a candidate pruned by a sibling strategy's point is
-    dominated by the merged frontier too.
-    """
-    n_parallel = 0
-    n_eval = 0
-    n_mem = 0
-    n_other = 0
-    n_bounds = 0
-    n_pruned = 0
-    caches_before = cache_stats()
-    # Like the scalar search: the analytic time lower bound (which every
-    # affine objective bound is built from) is only admissible against the
-    # analytic evaluation.
-    prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
-
-    # Pass 1: memory pre-filter + affine coefficients + bound vectors.
-    survivors: List[tuple] = []
-    for rank, config in enumerate(
-        parallel_configs(model, n_gpus, global_batch_size, strategy, space)
-    ):
-        n_parallel += 1
-        try:
-            memory = estimate_config_memory(
-                model, config, global_batch_size=global_batch_size, options=options
-            )
-        except ValueError:
-            n_other += 1
-            continue
-        if not memory.fits(system.gpu.hbm_capacity):
-            n_mem += 1
-            continue
-        coeffs = tuple(obj.coefficients(config, ctx) for obj in objectives)
-        bound_vec: Tuple[float, ...] = ()
-        if prune:
-            time_bound = config_time_lower_bound(
-                model, system, config, global_batch_size=global_batch_size, options=options
-            )
-            n_bounds += 1
-            bound_vec = tuple(off + slope * time_bound for off, slope in coeffs)
-        survivors.append((bound_vec, rank, config, coeffs))
-    if prune:
-        # Best-first along the first objective's bound (ties by rank) so the
-        # archive fills with strong points before the bulk of the pruning
-        # tests run.  Unlike the scalar search there is no early break — a
-        # later parallelization may trade the first objective for another.
-        survivors.sort(key=lambda item: (item[0], item[1]))
-
-    # Pass 2: evaluate, prune by dominance, fold into the archive.
-    if eval_mode == "batch":
-        from repro.core import batch_eval
-        import numpy as np
-
-        i = 0
-        while i < len(survivors):
-            block = []
-            while i < len(survivors) and len(block) < _BATCH_CHUNK_CONFIGS:
-                bound_vec, rank, config, coeffs = survivors[i]
-                i += 1
-                if prune and archive.dominates_bound(bound_vec):
-                    n_pruned += 1
-                    continue
-                block.append((rank, config, coeffs))
-            if not block:
-                continue
-            rows: List[tuple] = []
-            for rank, config, coeffs in block:
-                for assign_idx, assignment in enumerate(
-                    gpu_assignments(config, system.nvs_domain_size, space)
-                ):
-                    rows.append((rank, config, assign_idx, assignment, coeffs))
-            times = batch_eval.batch_candidate_times(
-                model,
-                system,
-                [(config, assignment) for _, config, _, assignment, _ in rows],
-                global_batch_size=global_batch_size,
-                options=options,
-            )
-            n_eval += len(rows)
-            # Same float expression as the scalar loop below, applied to the
-            # bit-exact batch times: the vectors are identical in both modes.
-            vectors = [
-                tuple(off + slope * float(t) for off, slope in row[4])
-                for row, t in zip(rows, times)
-            ]
-            # Vectorized dominance pass: rows strictly dominated within the
-            # chunk can never reach the final frontier, so thinning them
-            # first is result-identical and saves archive insertions.
-            keep = batch_eval.non_dominated_mask(np.asarray(vectors, dtype=np.float64))
-            for (rank, config, assign_idx, assignment, _), vector, kept in zip(
-                rows, vectors, keep
-            ):
-                if kept:
-                    archive.insert(
-                        vector, (strategy_index, rank, assign_idx), config, assignment
-                    )
-    else:
-        for bound_vec, rank, config, coeffs in survivors:
-            if prune and archive.dominates_bound(bound_vec):
-                n_pruned += 1
-                continue
-            for assign_idx, assignment in enumerate(
-                gpu_assignments(config, system.nvs_domain_size, space)
-            ):
-                n_eval += 1
-                estimate = evaluate_config(
-                    model,
-                    system,
-                    config,
-                    assignment,
-                    global_batch_size=global_batch_size,
-                    options=options,
-                    backend=backend,
-                )
-                if not estimate.feasible:
-                    n_mem += 1
-                    continue
-                vector = tuple(
-                    off + slope * estimate.total_time for off, slope in coeffs
-                )
-                archive.insert(
-                    vector, (strategy_index, rank, assign_idx), config, assignment
-                )
-
-    caches_after = cache_stats()
-    return SearchStatistics(
-        parallel_configs=n_parallel,
-        candidates_evaluated=n_eval,
-        infeasible_memory=n_mem,
-        infeasible_other=n_other,
-        bounds_computed=n_bounds,
-        pruned_configs=n_pruned,
-        workload_cache_hits=(
-            caches_after["workload"]["hits"] - caches_before["workload"]["hits"]
-        ),
-        workload_cache_misses=(
-            caches_after["workload"]["misses"] - caches_before["workload"]["misses"]
-        ),
-        stage_cache_hits=(
-            caches_after["stage_times"]["hits"] - caches_before["stage_times"]["hits"]
-        ),
-        stage_cache_misses=(
-            caches_after["stage_times"]["misses"] - caches_before["stage_times"]["misses"]
-        ),
-    )
+def _never(bound) -> bool:
+    """Pruning test of an unpruned search."""
+    return False
 
 
 def find_pareto_configs(
@@ -1184,8 +1066,8 @@ def find_pareto_configs(
     pricer and thins each chunk with a vectorized dominance pass
     (:func:`repro.core.batch_eval.non_dominated_mask`); the frontier is
     bit-identical to scalar mode (the batch times are bit-exact, the metric
-    vectors use the same float arithmetic, and every frontier member is
-    re-priced through the scalar oracle).  Batch mode is analytic-only.
+    vectors use the same float arithmetic, and batch-mode frontier members
+    are re-priced through the scalar oracle).  Batch mode is analytic-only.
 
     ``warm_hints`` is accepted for interface compatibility with
     :func:`find_optimal_config` (sweep plumbing attaches hints uniformly)
@@ -1201,22 +1083,20 @@ def find_pareto_configs(
     )
 
     del warm_hints  # accepted but unused (see docstring)
-    eval_mode = batch_eval.validate_eval_mode(eval_mode)
-    if eval_mode == "batch" and backend != DEFAULT_BACKEND:
-        raise ValueError(
-            f"eval_mode='batch' vectorizes the analytic closed forms and is "
-            f"only exact against backend={DEFAULT_BACKEND!r}; got {backend!r}"
-        )
+    eval_mode = batch_eval.validate_eval_mode(eval_mode, backend)
     objs = resolve_objectives(objectives or DEFAULT_PARETO_OBJECTIVES)
-    if isinstance(strategy, str):
-        strategies: Tuple[str, ...] = ALL_STRATEGIES if strategy == "all" else (strategy,)
-    else:
-        strategies = tuple(strategy)
-    if not strategies:
-        raise ValueError("at least one strategy is required")
+    strategies = resolve_strategies(strategy)
+    # Like the scalar search: the analytic time lower bound (which every
+    # affine objective bound is built from) is only admissible against the
+    # analytic evaluation.
+    prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
 
-    def _run(opts: ModelingOptions) -> Tuple[_FrontierArchive, SearchStatistics]:
-        archive = _FrontierArchive()
+    def _run(opts: ModelingOptions):
+        caches_before = cache_stats()
+        archive = _FrontierArchive(prune, thin=eval_mode == "batch")
+        price, _ = _training_pricers(
+            eval_mode, model, system, global_batch_size, space, opts, backend
+        )
         ctx = ObjectiveContext(
             model=model,
             system=system,
@@ -1224,47 +1104,45 @@ def find_pareto_configs(
             global_batch_size=global_batch_size,
             options=opts,
         )
-        stats = SearchStatistics()
+        parts: List[SearchStatistics] = []
+        # One archive across strategies only ever prunes more: dominance is
+        # transitive, so a candidate pruned by a sibling strategy's point is
+        # dominated by the merged frontier too.
         for strategy_index, strat in enumerate(strategies):
-            stats = stats.merged(
-                _pareto_single_strategy(
-                    model, system, n_gpus, global_batch_size, strat, strategy_index,
-                    space, opts, objs, ctx, archive, backend, eval_mode,
-                )
+            found, filtered = _feasible_survivors(
+                model, system, n_gpus, global_batch_size, strat, space, opts, prune
             )
-        return archive, stats
+            survivors = []
+            for item in found:
+                coeffs = tuple(obj.coefficients(item.config, ctx) for obj in objs)
+                bound = tuple(off + slope * item.bound for off, slope in coeffs) if prune else ()
+                survivors.append(
+                    Survivor(bound, (strategy_index, item.rank), item.config, coeffs)
+                )
+            if prune:
+                # Best-first along the first objective's bound (ties by rank)
+                # so the archive fills with strong points before the bulk of
+                # the pruning tests run.  No survivor ends the walk: a later
+                # parallelization may trade the first objective for another.
+                survivors.sort(key=lambda item: (item.bound, item.rank))
+            parts += [filtered, branch_and_bound(survivors, price, archive)]
+        return archive, price, search_statistics(caches_before, *parts)
 
-    used_options = options
-    archive, stats = _run(options)
+    archive, price, stats = _run(options)
     if (
         fallback_activation_checkpointing
         and not options.activation_checkpointing
         and not archive.entries
     ):
-        used_options = replace(options, activation_checkpointing=True)
-        archive, stats = _run(used_options)
+        archive, price, stats = _run(replace(options, activation_checkpointing=True))
 
-    points: List[ParetoPoint] = []
-    for vector, _, config, assignment in archive.sorted_entries():
-        estimate = evaluate_config(
-            model,
-            system,
-            config,
-            assignment,
-            global_batch_size=global_batch_size,
-            options=used_options,
-            backend=DEFAULT_BACKEND if eval_mode == "batch" else backend,
+    points = [
+        ParetoPoint(
+            estimate=price.estimate(row),
+            metrics={obj.name: obj.raw(component) for obj, component in zip(objs, vector)},
         )
-        points.append(
-            ParetoPoint(
-                estimate=estimate,
-                metrics={
-                    obj.name: obj.raw(component)
-                    for obj, component in zip(objs, vector)
-                },
-            )
-        )
-
+        for vector, _, row in archive.sorted_entries()
+    ]
     return ParetoResult(
         model_name=model.name,
         system_name=system.name,

@@ -22,8 +22,14 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    fcntl = None
 
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import TRAINING_OBJECTIVE, SearchResult
@@ -118,8 +124,8 @@ class SearchCache:
     API server keeps one process-wide cache hot across concurrent
     requests): every lookup, store, counter update and the whole
     read-merge-replace of :meth:`save` run under one process-local lock.
-    Cross-*process* coordination remains best-effort merge-on-save, as
-    documented on :meth:`save`.
+    Across processes, :meth:`save` merges under an exclusive file lock, as
+    documented there.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -318,20 +324,17 @@ class SearchCache:
         save never truncates an existing cache, and the pid-suffixed temp
         file is unlinked even when serialization fails mid-write (disk
         full, unserializable entry), so aborted saves leave no litter.
-        Entries another process wrote to the same file are merged in on a
-        best-effort basis: the file is re-read at save time and our entries
-        overlaid (fingerprints are content hashes, so colliding entries are
-        equal).  *Within* this process the whole read-merge-replace runs
-        under the cache lock, so concurrent threads can never drop each
-        other's entries.  Across processes there is no file locking — a
-        process that saves between our re-read and our replace loses its
-        entries for this snapshot, which only costs a re-solve later, never
-        a stale result.
+        Entries another process wrote to the same file are merged in: the
+        file is re-read at save time and our entries overlaid (fingerprints
+        are content hashes, so colliding entries are equal).  The whole
+        read-merge-replace runs under the cache lock *and* an exclusive
+        ``flock`` on the file's directory, so neither concurrent threads nor
+        concurrent processes can drop each other's entries.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
             return None
-        with self._lock:
+        with self._lock, _directory_lock(target):
             merged = {**self._read_entries(target), **self._entries}
             merged_hints = self._read_hints(target)
             for key, bucket in self._hints.items():
@@ -418,3 +421,22 @@ class SearchCache:
                 "hint_keys": len(self._hints),
                 "hint_entries": sum(len(b) for b in self._hints.values()),
             }
+
+
+@contextmanager
+def _directory_lock(path: Path):
+    """Hold an exclusive ``flock`` on ``path``'s directory (POSIX only).
+
+    Locking the directory rather than a sidecar file leaves nothing behind
+    next to the cache; the lock is released when the descriptor closes.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if fcntl is None:  # pragma: no cover - non-POSIX platforms
+        yield
+        return
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)

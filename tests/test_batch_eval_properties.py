@@ -3,9 +3,7 @@
 The scenario grid in ``tests/test_batch_eval.py`` walks fixed enumerations;
 these properties sample the cross product of model x system x strategy x
 schedule x modeling flags and assert **exact** (``==``) per-CostPhase-term
-equality on randomly drawn candidates — including the serving-objective
-path, where the vectorized prefill-communication lanes injected into the
-scalar serving evaluator must leave every estimate byte-identical.
+equality on randomly drawn candidates.
 """
 
 from dataclasses import replace
@@ -14,15 +12,12 @@ from functools import lru_cache
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.backends import DEFAULT_BACKEND, get_backend
 from repro.core.batch_eval import (
     batch_candidate_breakdowns,
-    batch_serving_prefill_comm,
     materialize_enumeration,
 )
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
 from repro.core.execution import DEFAULT_OPTIONS, evaluate_config
-from repro.core.inference import ServingSpec, _evaluate_serving, evaluate_serving_config
 from repro.core.model import TransformerConfig
 from repro.core.system import make_system
 
@@ -154,58 +149,3 @@ class TestTrainingTermEquality:
             assert batched.total[i] == single.total[0]
             assert batched.compute[i] == single.compute[0]
             assert batched.dp_comm[i] == single.dp_comm[0]
-
-
-class TestServingTermEquality:
-    @given(
-        model=st.sampled_from([DENSE, GQA]),
-        system=st.sampled_from([B200_NVS8, A100_NVS4]),
-        prompt_tokens=st.sampled_from([256, 512, 1024]),
-        arrival_rate=st.sampled_from([4.0, 32.0]),
-        pick=st.integers(min_value=0, max_value=10**9),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_prefill_comm_injection_is_an_identity(
-        self, model, system, prompt_tokens, arrival_rate, pick
-    ):
-        """Vectorized prefill lanes reproduce the scalar serving estimate.
-
-        Serving batch mode vectorizes exactly two assignment-dependent
-        quantities and injects them into the scalar evaluator; if each lane
-        is bit-exact, every field of the resulting estimate — TTFT, TPOT,
-        throughput, the decode fixed point, the plan — must be identical to
-        the all-scalar path.  ``ServingEstimate`` equality is the whole
-        dataclass, so this asserts all of them at once.
-        """
-        rows = _rows(model, system, "tp1d", "1f1b", 1, 1)
-        row = rows[pick % len(rows)]
-        spec = ServingSpec(
-            arrival_rate=arrival_rate,
-            prompt_tokens=prompt_tokens,
-            output_tokens=128,
-        )
-        try:
-            scalar = evaluate_serving_config(
-                model, system, row.config, row.assignment, serving=spec
-            )
-        except ValueError:
-            assume(False)  # prompt length indivisible for this TP degree
-        comm, p2p = batch_serving_prefill_comm(
-            model,
-            system,
-            row.config,
-            [row.assignment],
-            prompt_tokens=spec.prompt_tokens,
-        )
-        pricer = get_backend(DEFAULT_BACKEND)(system)
-        injected = _evaluate_serving(
-            model,
-            system,
-            row.config,
-            row.assignment,
-            spec,
-            DEFAULT_OPTIONS,
-            pricer,
-            _prefill_comm=(float(comm[0]), float(p2p[0])),
-        )
-        assert injected == scalar

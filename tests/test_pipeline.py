@@ -5,7 +5,6 @@ import pytest
 from repro.core.model import GPT3_1T
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.parallelism.pipeline import (
-    PipelineTiming,
     in_flight_microbatches,
     layers_per_stage,
     pipeline_bubble_time,
@@ -30,22 +29,6 @@ class TestBubbleModel:
     def test_invalid_stages(self):
         with pytest.raises(ValueError):
             pipeline_bubble_time(0, 1.0, 1.0)
-
-    def test_schedule_object(self):
-        sched = PipelineTiming(
-            num_stages=4, num_microbatches=16, layers_per_stage=2,
-            forward_time=1.0, backward_time=2.0,
-        )
-        assert sched.bubble_time == pytest.approx(9.0)
-        assert sched.steady_state_time == pytest.approx(48.0)
-        assert sched.total_time == pytest.approx(57.0)
-        assert sched.bubble_fraction == pytest.approx(9.0 / 57.0)
-        assert sched.in_flight_microbatches == 4
-
-    def test_bubble_fraction_shrinks_with_more_microbatches(self):
-        few = PipelineTiming(8, 8, 1, 1.0, 2.0)
-        many = PipelineTiming(8, 128, 1, 1.0, 2.0)
-        assert many.bubble_fraction < few.bubble_fraction
 
 
 class TestInFlightMicrobatches:
@@ -89,10 +72,3 @@ class TestLayersPerStage:
     def test_uneven_split_raises(self):
         with pytest.raises(ValueError):
             layers_per_stage(GPT3_1T, tp1d_config(np_=96))
-
-
-def test_legacy_pipeline_schedule_alias():
-    """Downstream imports of the old name keep resolving to the timing object."""
-    from repro.core.parallelism import pipeline
-
-    assert pipeline.PipelineSchedule is PipelineTiming

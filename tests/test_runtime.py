@@ -13,7 +13,7 @@ from repro.core.execution import (
     evaluate_config,
 )
 from repro.core.model import GPT3_1T, VIT_LONG_SEQ
-from repro.core.search import find_optimal_config
+from repro.core.search import SearchStatistics, find_optimal_config
 from repro.core.system import make_system
 from repro.runtime import SearchCache, SearchTask, SweepExecutor, solve_search_task
 from repro.runtime.executor import estimate_task_cost
@@ -397,13 +397,17 @@ class TestBatchEvalExecutor:
     """eval_mode="batch" through the runtime: fingerprints, shared-incumbent
     slots and parallel-vs-serial result identity."""
 
-    def test_statistics_exclude_shared_incumbent_prunes(self):
-        from repro.core.search import SearchStatistics
-
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(SearchStatistics)]
+    )
+    def test_merged_sums_every_field(self, name):
         a = SearchStatistics(parallel_configs=3, candidates_evaluated=10)
-        b = dataclasses.replace(a, shared_incumbent_prunes=7)
-        assert a == b  # diagnostics-only counter never breaks result equality
-        assert (a.merged(b)).shared_incumbent_prunes == 7
+        b = dataclasses.replace(a, **{name: getattr(a, name) + 7})
+        # Diagnostics-only counters (shared_incumbent_prunes, ...) never
+        # break result equality; every other field does.
+        field = next(f for f in dataclasses.fields(SearchStatistics) if f.name == name)
+        assert (a == b) == (not field.compare)
+        assert getattr(a.merged(b), name) == 2 * getattr(a, name) + 7
 
     def test_incumbent_slots_created_only_for_eligible_tasks(self, b200):
         from repro.runtime.executor import _incumbent_slots_for

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
+from repro.core.execution import cache_stats
 from repro.core.inference import (
     ServingSearchResult,
     ServingSpec,
@@ -100,6 +101,27 @@ class TestBranchAndBoundInvariant:
     def test_pruning_actually_prunes(self):
         result = find_serving_config(TINY, SYSTEM, 16, serving=SPEC, objective="throughput")
         assert result.statistics.pruned_configs > 0
+
+    def test_statistics_report_the_memo_cache_traffic(self):
+        """The cache counters are the ``cache_stats()`` deltas over the call."""
+        workload = get_workload("llama70b-serve")
+        before = cache_stats()
+        result = find_serving_config(
+            workload.model, make_system("H200", 8), 8,
+            serving=workload.serving, objective="throughput",
+        )
+        after = cache_stats()
+        stats = result.statistics
+        counted = (
+            stats.workload_cache_hits, stats.workload_cache_misses,
+            stats.stage_cache_hits, stats.stage_cache_misses,
+        )
+        assert counted == tuple(
+            after[cache][counter] - before[cache][counter]
+            for cache in ("workload", "stage_times")
+            for counter in ("hits", "misses")
+        )
+        assert stats.workload_cache_hits + stats.stage_cache_hits > 0
 
 
 class TestObjectiveThreading:
