@@ -28,6 +28,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from itertools import compress
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -946,47 +947,36 @@ class ParetoResult:
         return out
 
 
-def _strictly_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when canonical vector ``a`` strictly dominates ``b``.
-
-    ``a`` dominates ``b`` when it is no worse in every component and
-    strictly better in at least one; equal vectors never dominate each
-    other (both stay on the frontier).
-    """
-    better = False
-    for ai, bi in zip(a, b):
-        if ai > bi:
-            return False
-        if ai < bi:
-            better = True
-    return better
-
-
 class _FrontierArchive:
     """Incumbent Pareto frontier of evaluated candidates.
 
-    Entries are ``(vector, order, row)`` where ``order`` is the
-    deterministic ``((strategy index, enumeration rank), assignment index)``
-    tie key.  The archive is the multi-objective incumbent of
-    :func:`branch_and_bound`: its pruning test is :meth:`dominates_bound` —
-    a parallelization whose admissible bound vector is strictly dominated
-    by an archived point cannot contribute a frontier member (every real
-    candidate of it is ``>=`` the bound componentwise, so the archived point
-    strictly dominates them all; by transitivity the final frontier does
-    too).  With ``thin`` (batch eval mode) each offered chunk first goes
-    through the vectorized :func:`~repro.core.batch_eval.non_dominated_mask`:
-    a row strictly dominated within its chunk can never reach the frontier,
-    so thinning is result-identical and saves archive insertions.
+    The frontier is an ``(m, k)`` float64 matrix of canonical metric vectors,
+    :attr:`vectors`, plus the parallel list :attr:`entries` of
+    ``(order, row)``, where ``order`` is the deterministic
+    ``((strategy index, enumeration rank), assignment index)`` tie key.  The
+    archive is the multi-objective incumbent of :func:`branch_and_bound`:
+    its pruning test is :meth:`dominates_bound` — a parallelization whose
+    admissible bound vector is strictly dominated by an archived point
+    cannot contribute a frontier member (every real candidate of it is
+    ``>=`` the bound componentwise, so the archived point strictly
+    dominates them all; by transitivity the final frontier does too).
+    :meth:`offer` stacks the archive on the new rows and keeps the survivors
+    of one :func:`~repro.core.batch_eval.non_dominated_mask` call: the
+    frontier of a union is the frontier of the old frontier plus the new
+    rows, so how the rows are chunked never changes the result.
     """
 
-    def __init__(self, prune: bool = True, thin: bool = False) -> None:
+    def __init__(self, prune: bool = True) -> None:
         self.prune = prune
-        self.thin = thin
-        self.entries: List[Tuple[Tuple[float, ...], tuple, Row]] = []
+        self.vectors = None
+        self.entries: List[Tuple[tuple, Row]] = []
 
     def dominates_bound(self, bound: Sequence[float]) -> bool:
         """True when some archived vector strictly dominates ``bound``."""
-        return any(_strictly_dominates(vec, bound) for vec, _, _ in self.entries)
+        if not self.entries:
+            return False
+        vectors = self.vectors
+        return bool(((vectors <= bound).all(axis=1) & (vectors < bound).any(axis=1)).any())
 
     def pruner(self):
         """Pruning test for the next chunk: dominance of the bound vector."""
@@ -994,29 +984,34 @@ class _FrontierArchive:
 
     def offer(self, rows: Sequence[Row]) -> None:
         """Fold feasible rows (scored by time) into the frontier."""
-        vectors = [
-            tuple(off + slope * row.score for off, slope in row.survivor.coeffs)
-            for row in rows
-        ]
-        keep: Sequence[bool] = [True] * len(rows)
-        if self.thin and rows:
-            import numpy as np
+        if not rows:
+            return
+        import numpy as np
 
-            from repro.core import batch_eval
+        from repro.core import batch_eval
 
-            keep = batch_eval.non_dominated_mask(np.asarray(vectors, dtype=np.float64))
-        for row, vector, kept in zip(rows, vectors, keep):
-            # Keep the archive non-dominated: drop what the row dominates.
-            if kept and not self.dominates_bound(vector):
-                self.entries = [
-                    entry for entry in self.entries
-                    if not _strictly_dominates(vector, entry[0])
-                ]
-                self.entries.append((vector, (row.survivor.rank, row.assign_idx), row))
+        vectors = np.array(
+            [[off + slope * row.score for off, slope in row.survivor.coeffs] for row in rows],
+            dtype=np.float64,
+        )
+        entries = self.entries + [((row.survivor.rank, row.assign_idx), row) for row in rows]
+        if self.entries:
+            vectors = np.concatenate((self.vectors, vectors))
+        keep = batch_eval.non_dominated_mask(vectors)
+        self.vectors = vectors[keep]
+        self.entries = list(compress(entries, keep))
 
-    def sorted_entries(self):
-        """Entries in the deterministic report order (vector, then order)."""
-        return sorted(self.entries, key=lambda entry: (entry[0], entry[1]))
+    def sorted_entries(self) -> List[Tuple[Tuple[float, ...], tuple, Row]]:
+        """``(vector, order, row)`` in the report order (vector, then order)."""
+        if not self.entries:
+            return []
+        return sorted(
+            (
+                (tuple(vector), order, row)
+                for vector, (order, row) in zip(self.vectors.tolist(), self.entries)
+            ),
+            key=lambda entry: (entry[0], entry[1]),
+        )
 
 
 def _never(bound) -> bool:
@@ -1062,12 +1057,15 @@ def find_pareto_configs(
     search: the frontier is exactly the set of minimum-time candidates and
     its fastest member matches :func:`find_optimal_config`'s winner.
 
-    ``eval_mode="batch"`` prices survivors through the vectorized batch
-    pricer and thins each chunk with a vectorized dominance pass
-    (:func:`repro.core.batch_eval.non_dominated_mask`); the frontier is
-    bit-identical to scalar mode (the batch times are bit-exact, the metric
-    vectors use the same float arithmetic, and batch-mode frontier members
-    are re-priced through the scalar oracle).  Batch mode is analytic-only.
+    Both eval modes keep the frontier the same way: each priced chunk is
+    stacked on the archive and filtered by one sort-and-sweep dominance
+    pass (:func:`repro.core.batch_eval.non_dominated_mask`), and a survivor
+    is pruned by one vectorized test of its bound vector against the
+    archive.  ``eval_mode="batch"`` prices survivors through the vectorized
+    batch pricer; the frontier is bit-identical to scalar mode (the batch
+    times are bit-exact, the metric vectors use the same float arithmetic,
+    and batch-mode frontier members are re-priced through the scalar
+    oracle).  Batch mode is analytic-only.
 
     ``warm_hints`` is accepted for interface compatibility with
     :func:`find_optimal_config` (sweep plumbing attaches hints uniformly)
@@ -1093,7 +1091,7 @@ def find_pareto_configs(
 
     def _run(opts: ModelingOptions):
         caches_before = cache_stats()
-        archive = _FrontierArchive(prune, thin=eval_mode == "batch")
+        archive = _FrontierArchive(prune)
         price, _ = _training_pricers(
             eval_mode, model, system, global_batch_size, space, opts, backend
         )

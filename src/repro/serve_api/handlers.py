@@ -66,6 +66,10 @@ class PlannerRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-planner/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response is two writes (headers, then body), and with
+    #: Nagle's algorithm the body would wait for the client's delayed ACK
+    #: of the headers, about 40 ms per response on a keep-alive connection.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing

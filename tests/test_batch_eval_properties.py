@@ -3,18 +3,25 @@
 The scenario grid in ``tests/test_batch_eval.py`` walks fixed enumerations;
 these properties sample the cross product of model x system x strategy x
 schedule x modeling flags and assert **exact** (``==``) per-CostPhase-term
-equality on randomly drawn candidates.
+equality on randomly drawn candidates.  The Pareto dominance mask is pinned
+the same way, against a pure-Python pairwise filter.
 """
 
+import math
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch_eval
 from repro.core.batch_eval import (
     batch_candidate_breakdowns,
     materialize_enumeration,
+    non_dominated_mask,
 )
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
 from repro.core.execution import DEFAULT_OPTIONS, evaluate_config
@@ -149,3 +156,69 @@ class TestTrainingTermEquality:
             assert batched.total[i] == single.total[0]
             assert batched.compute[i] == single.compute[0]
             assert batched.dp_comm[i] == single.dp_comm[0]
+
+
+def _pairwise_non_dominated(rows):
+    """Pure-Python reference: keep each row no other row strictly dominates."""
+
+    def strictly_dominates(a, b):
+        better = False
+        for ai, bi in zip(a, b):
+            if ai > bi:
+                return False
+            if ai < bi:
+                better = True
+        return better
+
+    return [not any(strictly_dominates(other, row) for other in rows) for row in rows]
+
+
+#: Metric values for the dominance properties: a small grid, so rows tie
+#: often, with both signed zeros and both infinities.  NaN is left out on
+#: purpose: the pairwise rule treats a NaN component as a tie (neither
+#: ``>`` nor ``<``), NumPy's ``<=`` as incomparable, and no feasible
+#: candidate yields a NaN metric.
+_METRIC_GRID = (-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf)
+
+
+@st.composite
+def _metric_matrices(draw):
+    """(n, k) canonical vectors: n in [0, 200], k in [1, 4], duplicated rows."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=160))
+    row = st.tuples(*[st.sampled_from(_METRIC_GRID)] * k)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if rows:
+        picks = draw(st.lists(st.integers(0, n - 1), max_size=40))
+        rows = draw(st.permutations(rows + [rows[i] for i in picks]))
+    return k, rows
+
+
+class TestNonDominatedMask:
+    @given(_metric_matrices(), st.sampled_from([None, 1, 3, 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_mask_equals_the_pairwise_filter(self, drawn, block):
+        """Exact at the shipped block size and at small ones, so that rows
+        and their dominators straddle block boundaries."""
+        k, rows = drawn
+        vectors = np.array(rows, dtype=np.float64).reshape(len(rows), k)
+        with mock.patch.object(
+            batch_eval, "_DOMINANCE_BLOCK", block or batch_eval._DOMINANCE_BLOCK
+        ):
+            mask = non_dominated_mask(vectors)
+        assert mask.dtype == bool
+        assert mask.tolist() == _pairwise_non_dominated(rows)
+
+    def test_antichain_survives_whole(self):
+        """Sweep worst case: every row is kept, across several blocks."""
+        antichain = [(float(i), float(300 - i), float(i % 7)) for i in range(300)]
+        shifted = [(a + 1.0, b, c) for a, b, c in antichain[::3]]
+        rows = shifted + antichain
+        mask = non_dominated_mask(np.array(rows))
+        assert mask.tolist() == _pairwise_non_dominated(rows)
+        assert mask.tolist() == [False] * len(shifted) + [True] * len(antichain)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 2)])
+    def test_rejects_anything_but_a_matrix(self, shape):
+        with pytest.raises(ValueError, match="matrix"):
+            non_dominated_mask(np.zeros(shape))

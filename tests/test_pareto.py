@@ -8,7 +8,12 @@ pruning on or off.  The scalar objective case degenerates bit-identically
 to :func:`find_optimal_config`.
 """
 
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +35,9 @@ from repro.core.objectives import (
 )
 from repro.core.search import (
     ParetoResult,
-    _strictly_dominates,
+    Row,
+    Survivor,
+    _FrontierArchive,
     find_optimal_config,
     find_pareto_configs,
 )
@@ -47,6 +54,22 @@ GLOBAL_BATCH = 64
 @pytest.fixture(scope="module")
 def b200():
     return make_system("B200", 8)
+
+
+def _strictly_dominates(a, b):
+    """True when canonical vector ``a`` strictly dominates ``b``.
+
+    ``a`` dominates ``b`` when it is no worse in every component and
+    strictly better in at least one; equal vectors never dominate each
+    other (both stay on the frontier).
+    """
+    better = False
+    for ai, bi in zip(a, b):
+        if ai > bi:
+            return False
+        if ai < bi:
+            better = True
+    return better
 
 
 def _canonical(point, names):
@@ -207,6 +230,60 @@ class TestParetoMatchesExhaustive:
             p.metrics for p in unpruned.points
         ]
         assert unpruned.statistics.pruned_configs == 0
+
+
+class TestFrontierArchive:
+    """The archive's frontier does not depend on how rows are offered."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_any_chunking_gives_the_brute_force_frontier(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(1, 4)
+        rows = []
+        # Small integer coefficients and scores: many exact ties.
+        for rank in range(rng.randint(1, 40)):
+            coeffs = tuple(
+                (float(rng.randint(0, 3)), float(rng.randint(0, 2))) for _ in range(k)
+            )
+            survivor = Survivor((), (0, rank), None, coeffs)
+            for assign_idx in range(rng.randint(1, 4)):
+                rows.append(Row(float(rng.randint(1, 4)), survivor, assign_idx, None))
+        rng.shuffle(rows)
+        archive = _FrontierArchive()
+        start = 0
+        while start < len(rows):
+            size = rng.randint(1, 7)
+            archive.offer(rows[start : start + size])
+            start += size
+        scored = [
+            (
+                tuple(off + slope * row.score for off, slope in row.survivor.coeffs),
+                (row.survivor.rank, row.assign_idx),
+            )
+            for row in rows
+        ]
+        want = sorted(
+            (vector, order)
+            for vector, order in scored
+            if not any(_strictly_dominates(other, vector) for other, _ in scored)
+        )
+        got = [(vector, order) for vector, order, _ in archive.sorted_entries()]
+        assert got == want
+        assert all(type(c) is float for vector, _ in got for c in vector)
+
+
+def test_importing_search_and_the_api_leaves_numpy_unloaded():
+    """The archive imports NumPy when a Pareto search runs, not at import
+    time: NumPy is a large share of CLI and server start-up."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, repro.core.search, repro.serve_api.app; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 class TestScalarBatchIdentity:

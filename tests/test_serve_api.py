@@ -6,10 +6,13 @@ deterministic), and the stdlib HTTP front-end end-to-end against the real
 engine.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -415,6 +418,25 @@ class TestHttpApi:
         status, body = _get(base, "/v1/status")
         assert status == 200
         assert body["ok"] and "cache" in body
+
+    def test_keep_alive_round_trips_skip_the_delayed_ack(self, live_server):
+        """A response is two writes (headers, body); with Nagle's algorithm
+        on, the body waits for the client's delayed ACK, ~40 ms a request."""
+        base, _ = live_server
+        url = urllib.parse.urlsplit(base)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                body = response.read()
+                round_trips.append(time.perf_counter() - start)
+                assert response.status == 200 and json.loads(body) == {"ok": True}
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.020
 
     def test_workloads_listing(self, live_server):
         base, _ = live_server
