@@ -400,7 +400,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
             backend=args.backend,
             eval_mode=args.eval_mode,
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"repro-perf: error: {exc}", file=sys.stderr)
         return 2
     if not result.found:
@@ -549,12 +549,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             return 1
         return 0
 
-    if args.workload:
-        try:
-            get_workload(args.workload)
-        except KeyError as exc:
-            print(f"repro-perf: error: {exc.args[0]}", file=sys.stderr)
-            return 2
     workloads = [args.workload] if args.workload else None
     cases = build_default_grid(workloads)
     if not cases:
@@ -619,12 +613,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     and the paged KV cache for every EP/TP/PP/DP split of the GPU budget,
     and reports the best configuration under ``--objective``.
     """
-    try:
-        model = _resolve_model(args)
-        serving = _resolve_serving_spec(args)
-    except KeyError as exc:
-        print(f"repro-perf: error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    model = _resolve_model(args)
+    serving = _resolve_serving_spec(args)
     system = make_system(args.gpu, args.nvs)
     try:
         result = find_serving_config(
@@ -1008,10 +998,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of the ``repro-perf`` console script."""
+    """Entry point of the ``repro-perf`` console script.
+
+    An unknown registry name — workload, model, GPU generation, strategy —
+    surfaces from the library as a ``KeyError``; it is reported as one
+    ``repro-perf: error:`` line with exit status 2, like a usage error.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyError as exc:
+        print(f"repro-perf: error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,19 +30,15 @@ on the total.  Only the analytic backend is supported — a simulated bubble
 has no closed form to vectorize — and :func:`validate_eval_mode` rejects
 batch mode for any other backend.
 
-The module also hosts the :class:`IncumbentBoard`: the best-known feasible
-iteration time per search scope, shared across the strategies of one
-:func:`~repro.core.search.find_optimal_config` call and (best-effort, via
-``multiprocessing.Value`` slots installed by
-:class:`~repro.runtime.executor.SweepExecutor`) across worker processes.
+The module also hosts :func:`non_dominated_mask`, the sort-and-sweep
+dominance filter behind the Pareto frontier archive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -80,20 +76,15 @@ from repro.core.parallelism.data_parallel import (
 )
 from repro.core.schedules import get_schedule
 from repro.core.system import NetworkSpec, SystemSpec
-from repro.utils.serialization import canonical_fingerprint, to_jsonable
 
 __all__ = [
     "DEFAULT_EVAL_MODE",
     "EVAL_MODES",
     "BatchBreakdown",
     "CandidateRow",
-    "IncumbentBoard",
     "batch_candidate_breakdowns",
     "batch_candidate_times",
     "batch_evaluate_enumeration",
-    "incumbent_board",
-    "incumbent_scope_keys",
-    "install_shared_slots",
     "materialize_enumeration",
     "non_dominated_mask",
     "validate_eval_mode",
@@ -688,104 +679,3 @@ def non_dominated_mask(vectors: np.ndarray) -> np.ndarray:
         keep[idx[alive]] = True
         front = np.concatenate((front, block[:, alive]), axis=1)
     return keep
-
-
-# ----------------------------------------------------------------------
-# Shared-incumbent board
-# ----------------------------------------------------------------------
-
-class IncumbentBoard:
-    """Best-known feasible iteration times keyed by search scope.
-
-    A *scope key* identifies one exact search problem — model, system, GPU
-    count, batch, space, options and strategy (see
-    :func:`incumbent_scope_keys`) — so a published time is always a true
-    upper bound on that scope's optimum and pruning against it is sound.
-
-    Two storage tiers compose:
-
-    * a plain per-instance dict — deterministic sharing across the
-      strategies of one :func:`~repro.core.search.find_optimal_config`
-      call (and nothing else, so repeated searches stay reproducible);
-    * optional ``multiprocessing.Value('d')`` slots — best-effort sharing
-      across :class:`~repro.runtime.executor.SweepExecutor` workers.  The
-      slots only ever tighten the pruning threshold, so results are
-      unchanged; the *work counters* of a parallel sweep may legitimately
-      differ from a serial one when a slot fires (tracked separately in
-      ``SearchStatistics.shared_incumbent_prunes``).
-    """
-
-    def __init__(self, shared: Optional[Mapping[str, object]] = None):
-        self._local: Dict[str, float] = {}
-        self._shared = dict(shared) if shared else {}
-
-    def get(self, keys: Iterable[str]) -> float:
-        """Tightest published time over ``keys`` (``inf`` when none)."""
-        best = math.inf
-        for key in keys:
-            best = min(best, self._local.get(key, math.inf))
-            slot = self._shared.get(key)
-            if slot is not None:
-                with slot.get_lock():
-                    best = min(best, slot.value)
-        return best
-
-    def get_local(self, keys: Iterable[str]) -> float:
-        """Like :meth:`get` but ignoring the cross-process slots."""
-        best = math.inf
-        for key in keys:
-            best = min(best, self._local.get(key, math.inf))
-        return best
-
-    def publish(self, key: str, value: float) -> None:
-        """Record ``value`` under ``key`` if it improves the incumbent."""
-        if value < self._local.get(key, math.inf):
-            self._local[key] = value
-        slot = self._shared.get(key)
-        if slot is not None:
-            with slot.get_lock():
-                if value < slot.value:
-                    slot.value = value
-
-
-#: Cross-process slots installed by the SweepExecutor pool initializer.
-_SHARED_SLOTS: Dict[str, object] = {}
-
-
-def install_shared_slots(slots: Optional[Mapping[str, object]]) -> None:
-    """Install (or clear) the process-wide cross-worker incumbent slots."""
-    global _SHARED_SLOTS
-    _SHARED_SLOTS = dict(slots) if slots else {}
-
-
-def incumbent_board() -> IncumbentBoard:
-    """Fresh board for one search call, bound to any installed slots."""
-    return IncumbentBoard(_SHARED_SLOTS)
-
-
-def incumbent_scope_keys(
-    model: TransformerConfig,
-    system: SystemSpec,
-    n_gpus: int,
-    global_batch_size: int,
-    space: SearchSpace,
-    options: ModelingOptions,
-    strategies: Sequence[str],
-) -> List[str]:
-    """Scope keys (one per strategy) of a batch-mode training search.
-
-    The key fingerprints every input that defines the feasible set and the
-    objective, so two searches share a key only when their per-strategy
-    optima are interchangeable.
-    """
-    base = canonical_fingerprint(
-        {
-            "model": to_jsonable(model),
-            "system": to_jsonable(system),
-            "n_gpus": n_gpus,
-            "global_batch_size": global_batch_size,
-            "space": to_jsonable(space),
-            "options": to_jsonable(options),
-        }
-    )
-    return [f"{base}|{strategy}" for strategy in strategies]

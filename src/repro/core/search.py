@@ -82,9 +82,9 @@ class SearchStatistics:
     #: Full (parallelization, NVS-assignment) candidates whose iteration time
     #: was evaluated (including warm-start seed evaluations).  How many
     #: candidates the branch-and-bound actually prices depends on how tight
-    #: the initial threshold is — warm hints, shared incumbents and batch
-    #: chunking all shift it without changing the selected optimum — so the
-    #: counter is diagnostics-only and excluded from equality.
+    #: the initial threshold is — warm hints, the multi-strategy floor and
+    #: batch chunking all shift it without changing the selected optimum —
+    #: so the counter is diagnostics-only and excluded from equality.
     candidates_evaluated: int = field(default=0, compare=False)
     #: Candidates rejected because they do not fit in HBM — either by the
     #: assignment-independent memory pre-filter (counted once per
@@ -99,15 +99,14 @@ class SearchStatistics:
     #: Parallelizations skipped outright because their lower bound met or
     #: exceeded the incumbent optimum; their NVS-assignment loops never ran.
     #: Like :attr:`candidates_evaluated`, the count depends on the initial
-    #: threshold (warm hints / shared incumbents), so it is excluded from
-    #: equality.
+    #: threshold (warm hints / the multi-strategy floor), so it is excluded
+    #: from equality.
     pruned_configs: int = field(default=0, compare=False)
-    #: Of :attr:`pruned_configs`, how many were pruned only thanks to an
-    #: incumbent *shared from outside this strategy's own search* — a
-    #: previously-searched strategy of the same call, or another
-    #: :class:`~repro.runtime.executor.SweepExecutor` worker's published
-    #: bound (batch eval mode only).  Cross-worker sharing depends on worker
-    #: timing, so the counter is diagnostics-only and excluded from equality.
+    #: Of :attr:`pruned_configs`, how many were pruned only by the *floor*:
+    #: the lowest best time or warm seed the earlier strategies of the same
+    #: multi-strategy call reached (see :func:`find_optimal_config`).  The count is
+    #: deterministic, but like :attr:`pruned_configs` it moves with the warm
+    #: seeds, so it is excluded from equality.
     shared_incumbent_prunes: int = field(default=0, compare=False)
     #: Hits/misses of the memoized per-layer workload cache during this
     #: search (``execution._cached_workload``) — hits mean microbatch,
@@ -361,26 +360,17 @@ class BestK:
     resolve by enumeration order whatever order they were priced in.  The
     pruning threshold is the best score — or, with ``top_k > 0``, the k-th
     best, so pruning also preserves the exact top-k set — tightened by the
-    warm seed (:meth:`seed`) and by a shared
-    :class:`~repro.core.batch_eval.IncumbentBoard`: ``consume_keys`` are the
-    scopes read, ``publish_key`` the scope this search's improvements are
-    published under.  A survivor is pruned only when its bound *exceeds*
-    the threshold, so an exact tie with the incumbent is still priced.
+    warm seed (:meth:`seed`) and capped by ``floor``: the lowest best score
+    or warm seed the earlier strategies of the same multi-strategy call
+    reached (see :func:`find_optimal_config`).  A survivor is pruned only
+    when its bound *exceeds* the threshold, so an exact tie with the
+    incumbent is still priced.
     """
 
-    def __init__(
-        self,
-        top_k: int = 0,
-        prune: bool = True,
-        board=None,
-        consume_keys: Sequence[str] = (),
-        publish_key: Optional[str] = None,
-    ) -> None:
+    def __init__(self, top_k: int = 0, prune: bool = True, floor: float = math.inf) -> None:
         self.top_k = top_k
         self.prune = prune
-        self.board = board
-        self.consume_keys = tuple(consume_keys)
-        self.publish_key = publish_key
+        self.floor = floor
         self.best: Optional[Row] = None
         self._best_key: tuple = (math.inf, -1, -1)
         self._seed = math.inf
@@ -395,11 +385,13 @@ class BestK:
             return -self._heap[0][0] if len(self._heap) >= self.top_k else math.inf
         return min(self._best_key[0], self._seed)
 
+    def threshold(self) -> float:
+        """The pruning threshold: this search's own, capped by the floor."""
+        return min(self._threshold(), self.floor)
+
     def pruner(self):
-        """Pruning test for the next chunk (the board is read once per chunk)."""
-        threshold = self._threshold()
-        if self.board is not None:
-            threshold = min(threshold, self.board.get(self.consume_keys))
+        """Pruning test for the next chunk."""
+        threshold = self.threshold()
 
         def prunes(bound: float) -> bool:
             if bound > threshold:
@@ -413,8 +405,8 @@ class BestK:
     def shared_prunes(self) -> int:
         """Pruned survivors this search's own final threshold would have kept.
 
-        Only a bound shared through the board can prune those, so this is
-        the board's share of the pruning (0 without a board).
+        Only the floor can prune those, so this is the floor's share of the
+        pruning (0 without a floor).
         """
         own = self._threshold()
         return sum(1 for bound in self._pruned_bounds if bound <= own)
@@ -432,7 +424,6 @@ class BestK:
         feasible = [row for row in rows if row.score is not None]
         if feasible:
             self._seed = min(row.score for row in feasible)
-            self._publish(self._seed)
         return len({row.survivor.rank for row in feasible})
 
     def offer(self, rows: Sequence[Row]) -> None:
@@ -448,17 +439,10 @@ class BestK:
                     heapq.heappush(self._heap, entry)
                 elif entry > self._heap[0]:
                     heapq.heapreplace(self._heap, entry)
-        if self.best is not None:
-            self._publish(self._best_key[0])
 
     def leaderboard(self) -> List[Row]:
         """The top-k rows, best first."""
         return [e[-1] for e in sorted(self._heap, key=lambda e: (-e[0], -e[1], -e[2]))]
-
-    def _publish(self, score: float) -> None:
-        """Offer ``score`` to the board under this search's scope."""
-        if self.board is not None and self.publish_key is not None:
-            self.board.publish(self.publish_key, score)
 
 
 class CandidatePricer:
@@ -735,7 +719,12 @@ def find_optimal_config(
 
     ``strategy`` may be a single strategy name, a sequence of names, or
     ``"all"`` to search 1D TP, 2D TP and SUMMA together (the overall best is
-    returned and the per-strategy statistics are merged).
+    returned and the per-strategy statistics are merged).  The strategies
+    run in turn, and a pruned best-only search (no ``top_k``) starts each
+    one from the *floor*: the lowest best time or warm seed the earlier
+    strategies reached.  The floor only prunes candidates that cannot beat
+    the merged best, so the answer is unchanged;
+    :attr:`SearchStatistics.shared_incumbent_prunes` counts its prunes.
 
     ``backend`` selects the evaluation backend per candidate
     (:mod:`repro.core.backends`); with a non-default backend the
@@ -749,10 +738,7 @@ def find_optimal_config(
     top-k set are identical (the batch pricer is bit-exact against the
     scalar oracle, and the winners are re-priced through it), but searches
     run several times faster.  Batch mode is analytic-only: combining it
-    with a non-default ``backend`` raises :class:`ValueError`.  With
-    pruning enabled and no top-k request, batch mode additionally shares
-    the incumbent bound across this call's strategies and (best-effort)
-    across :class:`~repro.runtime.executor.SweepExecutor` workers.
+    with a non-default ``backend`` raises :class:`ValueError`.
 
     ``objective`` selects the execution regime.  The default
     (:data:`TRAINING_OBJECTIVE`) minimises the training iteration time and
@@ -815,28 +801,24 @@ def find_optimal_config(
     prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
 
     def _run(opts: ModelingOptions) -> List[SearchResult]:
-        # Shared-incumbent sharing requires: batch pricing, a plain best-only
-        # search (a top-k leaderboard prunes on the k-th best, which a scope
-        # incumbent would over-tighten) and pruning enabled.  Cross-strategy
-        # consumption is sound because a multi-strategy call only reports the
-        # *merged* best: any candidate a sibling's incumbent pruned has time
-        # >= its bound > incumbent >= merged best.
-        board = None
-        keys: List[Optional[str]] = [None] * len(strategies)
-        if eval_mode == "batch" and top_k == 0 and space.prune_with_lower_bound:
-            board = batch_eval.incumbent_board()
-            keys = batch_eval.incumbent_scope_keys(
-                model, system, n_gpus, global_batch_size, space, opts, strategies
+        # Each strategy starts from the floor the earlier ones reached.  That
+        # is sound because a multi-strategy call only reports the *merged*
+        # best: a candidate the floor pruned has time >= its bound > floor
+        # >= merged best.  A top-k leaderboard prunes on the k-th best, which
+        # a floor would over-tighten, so it only applies to best-only search.
+        results = []
+        floor = math.inf
+        for strat in strategies:
+            incumbent = BestK(top_k, prune, floor)
+            results.append(
+                _search_single_strategy(
+                    model, system, n_gpus, global_batch_size, strat, space, opts,
+                    backend, eval_mode, incumbent, warm_hints,
+                )
             )
-        return [
-            _search_single_strategy(
-                model, system, n_gpus, global_batch_size, strat, space, opts,
-                backend, eval_mode,
-                BestK(top_k, prune, board, keys if board else (), publish_key=keys[i]),
-                warm_hints,
-            )
-            for i, strat in enumerate(strategies)
-        ]
+            if prune and top_k == 0:
+                floor = incumbent.threshold()
+        return results
 
     results = _run(options)
 
@@ -1032,7 +1014,6 @@ def find_pareto_configs(
     fallback_activation_checkpointing: bool = True,
     backend: str = DEFAULT_BACKEND,
     eval_mode: str = DEFAULT_EVAL_MODE,
-    warm_hints: Sequence = (),
 ) -> ParetoResult:
     """Multi-objective search: the Pareto frontier of the candidate space.
 
@@ -1066,12 +1047,6 @@ def find_pareto_configs(
     times are bit-exact, the metric vectors use the same float arithmetic,
     and batch-mode frontier members are re-priced through the scalar
     oracle).  Batch mode is analytic-only.
-
-    ``warm_hints`` is accepted for interface compatibility with
-    :func:`find_optimal_config` (sweep plumbing attaches hints uniformly)
-    but ignored: a scalar seed time cannot soundly open a *frontier*
-    threshold, and the frontier must equal the exhaustive filter
-    regardless of seeding.
     """
     from repro.core import batch_eval
     from repro.core.objectives import (
@@ -1080,7 +1055,6 @@ def find_pareto_configs(
         resolve_objectives,
     )
 
-    del warm_hints  # accepted but unused (see docstring)
     eval_mode = batch_eval.validate_eval_mode(eval_mode, backend)
     objs = resolve_objectives(objectives or DEFAULT_PARETO_OBJECTIVES)
     strategies = resolve_strategies(strategy)

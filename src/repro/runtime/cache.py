@@ -32,7 +32,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.core.parallelism.base import ParallelConfig
-from repro.core.search import TRAINING_OBJECTIVE, SearchResult
+from repro.core.search import MAX_WARM_HINTS, TRAINING_OBJECTIVE, SearchResult
 from repro.utils.serialization import (
     canonical_fingerprint,
     dataclass_from_jsonable,
@@ -254,7 +254,7 @@ class SearchCache:
         bucket.append(record)
         del bucket[:-_MAX_HINTS_PER_KEY]
 
-    def warm_hints(self, task, limit: int = 4) -> Tuple[ParallelConfig, ...]:
+    def warm_hints(self, task, limit: int = MAX_WARM_HINTS) -> Tuple[ParallelConfig, ...]:
         """Nearest prior winners of ``task``'s structure, best-first.
 
         Looks up the reduced key (:func:`reduced_fingerprint`) and returns
@@ -268,7 +268,13 @@ class SearchCache:
         (native to the point they won at); the solver adapts and validates
         them (:func:`repro.core.search.adapt_warm_hints`), so a hint can
         never change the search result, only speed it up.
+
+        A Pareto task (non-empty ``objectives``) gets none: a seed time
+        cannot open a frontier threshold, so the Pareto search takes no
+        hints.  Its winner still feeds the index for scalar tasks.
         """
+        if getattr(task, "objectives", ()):
+            return ()
         with self._lock:
             bucket = list(self._hints.get(reduced_fingerprint(task), ()))
         if not bucket:
@@ -335,8 +341,8 @@ class SearchCache:
         if target is None:
             return None
         with self._lock, _directory_lock(target):
-            merged = {**self._read_entries(target), **self._entries}
-            merged_hints = self._read_hints(target)
+            stored, merged_hints = self._read(target)
+            merged = {**stored, **self._entries}
             for key, bucket in self._hints.items():
                 for record in bucket:
                     existing = merged_hints.setdefault(key, [])
@@ -366,48 +372,42 @@ class SearchCache:
             return target
 
     @staticmethod
-    def _read_entries(path: Path) -> Dict[str, Any]:
-        """Entries stored in ``path``; empty on missing/corrupt/old files.
+    def _read(path: Path) -> Tuple[Dict[str, Any], Dict[str, List[Dict[str, Any]]]]:
+        """``(entries, hints)`` stored in ``path``; empty on missing/corrupt/old files.
 
-        ``json.loads`` failures (truncated writes, binary garbage, undecodable
-        bytes — all of which surface as ``ValueError`` subclasses — and OS
-        errors such as the path being a directory) degrade to an empty cache,
-        and individually malformed entry values are filtered out so a partly
-        corrupted file never poisons a later :meth:`save`.
+        The file is parsed once.  ``json.loads`` failures (truncated writes,
+        binary garbage, undecodable bytes — all of which surface as
+        ``ValueError`` subclasses — and OS errors such as the path being a
+        directory) degrade to an empty cache, and individually malformed
+        entry values and hint records are filtered out so a partly corrupted
+        file never poisons a later :meth:`save`.
         """
         try:
             data = load_json(path)
         except (OSError, ValueError):
-            return {}
+            return {}, {}
         if not isinstance(data, dict) or data.get("version") != CACHE_FORMAT_VERSION:
-            return {}
+            return {}, {}
         entries = data.get("entries")
-        if not isinstance(entries, dict):
-            return {}
-        return {k: v for k, v in entries.items() if isinstance(v, dict)}
-
-    @staticmethod
-    def _read_hints(path: Path) -> Dict[str, List[Dict[str, Any]]]:
-        """Hint index stored in ``path``; empty on missing/corrupt/old files."""
-        try:
-            data = load_json(path)
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(data, dict) or data.get("version") != CACHE_FORMAT_VERSION:
-            return {}
         hints = data.get("hints")
+        if not isinstance(entries, dict):
+            entries = {}
         if not isinstance(hints, dict):
-            return {}
-        return {
-            key: [r for r in bucket if isinstance(r, dict)]
-            for key, bucket in hints.items()
-            if isinstance(bucket, list)
-        }
+            hints = {}
+        return (
+            {k: v for k, v in entries.items() if isinstance(v, dict)},
+            {
+                key: [r for r in bucket if isinstance(r, dict)]
+                for key, bucket in hints.items()
+                if isinstance(bucket, list)
+            },
+        )
 
     def _load(self) -> None:
         with self._lock:
-            self._entries.update(self._read_entries(self.path))
-            for key, bucket in self._read_hints(self.path).items():
+            entries, hints = self._read(self.path)
+            self._entries.update(entries)
+            for key, bucket in hints.items():
                 for record in bucket:
                     self._record_hint(key, record)
 

@@ -24,7 +24,6 @@ path-backed cache is saved once at the end of the batch.
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -43,13 +42,13 @@ from repro.core.inference import ServingSpec
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import (
-    ALL_STRATEGIES,
     DEFAULT_EVAL_MODE,
     MAX_WARM_HINTS,
     TRAINING_OBJECTIVE,
     SearchResult,
     find_optimal_config,
     find_pareto_configs,
+    resolve_strategies,
 )
 from repro.core.system import SystemSpec
 from repro.runtime.cache import SearchCache, reduced_fingerprint
@@ -168,10 +167,6 @@ def estimate_task_cost(task: SearchTask) -> float:
     count if the enumeration itself rejects the task (the solver will
     surface the real error).
     """
-    if isinstance(task.strategy, str):
-        strategies = ALL_STRATEGIES if task.strategy == "all" else (task.strategy,)
-    else:
-        strategies = task.strategy
     total = 0
     if task.objective != TRAINING_OBJECTIVE and not task.objectives:
         try:
@@ -179,6 +174,10 @@ def estimate_task_cost(task: SearchTask) -> float:
         except (ValueError, KeyError):
             total = task.n_gpus
     else:
+        try:
+            strategies = resolve_strategies(task.strategy)
+        except ValueError:
+            strategies = ()
         for strategy in strategies:
             try:
                 _, n_candidates = count_configurations(
@@ -218,7 +217,6 @@ def solve_search_task(task: SearchTask):
             options=task.options,
             backend=task.backend,
             eval_mode=task.eval_mode,
-            warm_hints=task.warm_hints,
         )
     return find_optimal_config(
         task.model,
@@ -242,72 +240,6 @@ def _winner_config(result) -> Optional[ParallelConfig]:
     return getattr(getattr(result, "best", None), "config", None)
 
 
-def _task_strategies(task: SearchTask) -> Tuple[str, ...]:
-    """The concrete strategy tuple a task's training search will run."""
-    if isinstance(task.strategy, str):
-        return ALL_STRATEGIES if task.strategy == "all" else (task.strategy,)
-    return tuple(task.strategy)
-
-
-def _incumbent_slots_for(tasks: Sequence[SearchTask]) -> Optional[Dict[str, object]]:
-    """Cross-worker incumbent slots for the batch-eligible tasks of a batch.
-
-    One ``multiprocessing.Value('d', inf)`` per scope key of every task
-    that can consume a shared bound: batch eval mode, best-only (no top-k),
-    the training objective, the analytic backend and pruning enabled.
-    Returns ``None`` when no task qualifies or the platform cannot allocate
-    shared memory (sharing is an optimisation, never a requirement).
-    """
-    from repro.core.batch_eval import incumbent_scope_keys
-
-    keys = set()
-    for task in tasks:
-        if (
-            task.eval_mode != "batch"
-            or task.top_k != 0
-            or task.objective != TRAINING_OBJECTIVE
-            or task.objectives  # a shared scalar bound cannot prune a frontier
-            or task.backend != DEFAULT_BACKEND
-            or not task.space.prune_with_lower_bound
-        ):
-            continue
-        keys.update(
-            incumbent_scope_keys(
-                task.model,
-                task.system,
-                task.n_gpus,
-                task.global_batch_size,
-                task.space,
-                task.options,
-                _task_strategies(task),
-            )
-        )
-    if not keys:
-        return None
-    try:
-        import multiprocessing
-
-        return {key: multiprocessing.Value("d", math.inf) for key in sorted(keys)}
-    except (OSError, ImportError, NotImplementedError):
-        return None
-
-
-def _worker_init(slots: Optional[Dict[str, object]]) -> None:
-    """Pool initializer: cold caches plus the shared incumbent slots.
-
-    Workers start from a cold, explicitly bounded memoization state —
-    ``clear_caches()`` covers every model-layer cache, so a long-lived
-    worker's memory stays bounded by the caches' sizes rather than by
-    whatever the parent had accumulated.  The slots (inherited through
-    process creation) let batch-mode searches of the same scope tighten
-    each other's branch-and-bound thresholds across workers.
-    """
-    clear_caches()
-    from repro.core.batch_eval import install_shared_slots
-
-    install_shared_slots(slots)
-
-
 class SweepExecutor:
     """Executes batches of independent solver calls, serially or in parallel.
 
@@ -329,16 +261,17 @@ class SweepExecutor:
         instead of starting a fresh pool per batch.  This is what the
         long-running API server uses: concurrent request threads are
         multiplexed onto the same warm workers (``ProcessPoolExecutor`` is
-        thread-safe), amortizing process start-up across requests.  A
-        persistent pool does not install per-batch shared incumbent slots
-        (its workers outlive any one batch); results are identical either
-        way — the slots only accelerate pruning.  Call :meth:`close` (or
-        use the executor as a context manager) to release the workers.
+        thread-safe), amortizing process start-up across requests.  Call
+        :meth:`close` (or use the executor as a context manager) to release
+        the workers.
+
+    Workers start with cold memoization caches and share no search state,
+    so a task is solved in a worker exactly as it would be in-process.
 
     One instance may be used from several threads concurrently: per-call
-    state (progress callbacks, incumbent slots) is passed down the call
-    chain rather than stored on the instance, and pool creation/teardown
-    is guarded by a lock.
+    state (progress callbacks) is passed down the call chain rather than
+    stored on the instance, and pool creation/teardown is guarded by a
+    lock.
     """
 
     def __init__(
@@ -359,32 +292,28 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _acquire_pool(
-        self, n_items: int, slots: Optional[Dict[str, object]]
-    ) -> Tuple[ProcessPoolExecutor, bool]:
+    def _acquire_pool(self, n_items: int) -> Tuple[ProcessPoolExecutor, bool]:
         """A pool to run one batch on, plus whether the *caller* owns it.
 
-        Transient (per-batch) pools are sized to the batch and install the
-        batch's shared incumbent ``slots``; the persistent pool is sized to
-        ``jobs``, initialized once without slots, and reused.  Raises the
-        ``ProcessPoolExecutor`` start-up errors of the host (handled by
-        :meth:`_map_parallel`'s serial fallback).
+        Transient (per-batch) pools are sized to the batch; the persistent
+        pool is sized to ``jobs``, started once and reused.  Workers start
+        from a cold, explicitly bounded memoization state (``clear_caches``
+        covers every model-layer cache), so a long-lived worker's memory is
+        bounded by the caches' sizes rather than by whatever the parent had
+        accumulated.  Raises the ``ProcessPoolExecutor`` start-up errors of
+        the host (handled by :meth:`_map_parallel`'s serial fallback).
         """
         if not self.persistent:
             return (
                 ProcessPoolExecutor(
-                    max_workers=min(self.jobs, n_items),
-                    initializer=_worker_init,
-                    initargs=(slots,),
+                    max_workers=min(self.jobs, n_items), initializer=clear_caches
                 ),
                 True,
             )
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_worker_init,
-                    initargs=(None,),
+                    max_workers=self.jobs, initializer=clear_caches
                 )
             return self._pool, False
 
@@ -419,7 +348,6 @@ class SweepExecutor:
         progress: Optional[ProgressCallback] = None,
         _done_offset: int = 0,
         _total: Optional[int] = None,
-        _slots: Optional[Dict[str, object]] = None,
     ) -> List:
         """Apply ``fn`` to every item, returning results in input order.
 
@@ -435,7 +363,7 @@ class SweepExecutor:
         report = progress if progress is not None else self.progress
         if self.jobs <= 1 or len(items) <= 1:
             return self._map_serial(fn, items, _done_offset, total, report)
-        return self._map_parallel(fn, items, _done_offset, total, report, _slots)
+        return self._map_parallel(fn, items, _done_offset, total, report)
 
     @staticmethod
     def _report(done: int, total: int, report: Optional[ProgressCallback]) -> None:
@@ -464,12 +392,9 @@ class SweepExecutor:
         done: int,
         total: int,
         report: Optional[ProgressCallback],
-        slots: Optional[Dict[str, object]] = None,
     ) -> List:
         try:
-            # _worker_init clears the memoization caches (bounded worker
-            # memory) and installs the batch's shared incumbent slots.
-            pool, owned = self._acquire_pool(len(items), slots)
+            pool, owned = self._acquire_pool(len(items))
         except (OSError, NotImplementedError, ImportError):
             # This host cannot start worker processes at all (restricted
             # sandbox, missing semaphores, ...): run everything in-process.
@@ -580,21 +505,12 @@ class SweepExecutor:
         winners of neighboring points: serially, every point's winner chains
         forward into the next solve of the same structure; in parallel,
         hints come from the batch's cache hits and the cache's persistent
-        hint index (a worker cannot see a sibling's in-flight winner —
-        batch-eval tasks still share bounds live through the incumbent
-        board).  Warm starting provably never changes any selected optimum
-        (see :func:`~repro.core.search.find_optimal_config`), only the
-        compare-excluded work counters.
-
-        Batch-eval tasks additionally share their branch-and-bound
-        incumbents across workers (see :func:`_incumbent_slots_for`).  The
-        selected optima are identical either way — a shared bound can only
-        prune candidates that provably cannot win — but the *work counters*
-        of such a task (``candidates_evaluated``, ``pruned_configs``) may
-        differ between a parallel and a serial run, since how early a
-        sibling's bound arrives depends on worker timing;
-        ``shared_incumbent_prunes`` (compare-excluded) attributes the
-        difference.
+        hint index (a worker cannot see a sibling's in-flight winner).  Warm
+        starting provably never changes any selected optimum (see
+        :func:`~repro.core.search.find_optimal_config`), only the
+        compare-excluded work counters — which is also why a parallel run's
+        counters may differ from a serial run's: the two see different
+        hints.
         """
         tasks = list(tasks)
         total = len(tasks)
@@ -616,7 +532,6 @@ class SweepExecutor:
                 pending.setdefault(task, []).append(idx)
 
         unique_tasks = list(pending)
-        slots: Optional[Dict[str, object]] = None
         serial = self.jobs <= 1 or len(unique_tasks) <= 1
         if not serial:
             # Longest-processing-time dispatch: hand the biggest searches to
@@ -626,11 +541,6 @@ class SweepExecutor:
             # ``pending``, so the returned order (and every result) is
             # identical to serial execution.
             unique_tasks.sort(key=estimate_task_cost, reverse=True)
-            if not self.persistent:
-                # A persistent pool's workers were initialized before this
-                # batch existed, so per-batch slots cannot be installed;
-                # cross-worker bound sharing is an optimisation only.
-                slots = _incumbent_slots_for(unique_tasks)
 
         if not warm_start:
             solve = solve_search_task
@@ -651,9 +561,7 @@ class SweepExecutor:
         else:
             # Worker processes cannot see each other's in-flight winners, so
             # hints are pre-attached from what is already known (this
-            # batch's cache hits and the cache's persistent hint index);
-            # live cross-worker seeding continues through the shared
-            # incumbent board for batch-eval tasks.
+            # batch's cache hits and the cache's persistent hint index).
             solve = solve_search_task
             dispatch = [
                 replace(task, warm_hints=self._hints_for(task, hint_board))
@@ -666,7 +574,6 @@ class SweepExecutor:
             progress=report,
             _done_offset=done,
             _total=total,
-            _slots=slots,
         )
         done += len(unique_tasks)
         for task, result in zip(unique_tasks, solved):

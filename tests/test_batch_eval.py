@@ -16,11 +16,8 @@ from dataclasses import replace
 import pytest
 
 from repro.core.batch_eval import (
-    IncumbentBoard,
     batch_candidate_times,
     batch_evaluate_enumeration,
-    incumbent_scope_keys,
-    install_shared_slots,
     materialize_enumeration,
     validate_eval_mode,
 )
@@ -175,82 +172,6 @@ class TestValidateEvalMode:
     def test_rejects_unknown_modes(self, bad):
         with pytest.raises(ValueError, match="eval_mode"):
             validate_eval_mode(bad)
-
-
-class TestIncumbentBoard:
-    def test_empty_board_returns_inf(self):
-        board = IncumbentBoard()
-        assert board.get(["a", "b"]) == float("inf")
-
-    def test_publish_only_tightens(self):
-        board = IncumbentBoard()
-        board.publish("scope", 2.0)
-        board.publish("scope", 5.0)  # worse: ignored
-        board.publish("scope", 1.0)
-        assert board.get(["scope"]) == 1.0
-        assert board.get_local(["scope"]) == 1.0
-
-    def test_get_takes_min_over_keys(self):
-        board = IncumbentBoard()
-        board.publish("a", 3.0)
-        board.publish("b", 2.0)
-        assert board.get(["a", "b"]) == 2.0
-
-    def test_shared_slots_tighten_but_stay_out_of_local(self):
-        import multiprocessing
-
-        slot = multiprocessing.Value("d", 1.5)
-        board = IncumbentBoard({"scope": slot})
-        board.publish("scope", 2.0)
-        assert board.get(["scope"]) == 1.5  # slot wins
-        assert board.get_local(["scope"]) == 2.0  # local tier ignores slots
-        board.publish("scope", 1.0)
-        assert slot.value == 1.0  # publish writes through to the slot
-
-    def test_install_shared_slots_binds_fresh_boards(self):
-        import multiprocessing
-
-        from repro.core.batch_eval import incumbent_board
-
-        slot = multiprocessing.Value("d", 0.25)
-        install_shared_slots({"scope": slot})
-        try:
-            assert incumbent_board().get(["scope"]) == 0.25
-        finally:
-            install_shared_slots(None)
-        assert incumbent_board().get(["scope"]) == float("inf")
-
-
-class TestIncumbentScopeKeys:
-    def test_one_key_per_strategy(self):
-        keys = incumbent_scope_keys(
-            DENSE, B200_NVS8, N_GPUS, GLOBAL_BATCH, SPACE, DEFAULT_OPTIONS,
-            ["tp1d", "tp2d", "summa"],
-        )
-        assert len(set(keys)) == 3
-        base = {key.rsplit("|", 1)[0] for key in keys}
-        assert len(base) == 1  # same search problem, per-strategy suffix
-
-    def test_any_input_change_changes_the_scope(self):
-        def keys(**kw):
-            inputs = dict(
-                model=DENSE,
-                system=B200_NVS8,
-                n_gpus=N_GPUS,
-                global_batch_size=GLOBAL_BATCH,
-                space=SPACE,
-                options=DEFAULT_OPTIONS,
-            )
-            inputs.update(kw)
-            return incumbent_scope_keys(strategies=["tp1d"], **inputs)[0]
-
-        base = keys()
-        assert keys(model=GQA) != base
-        assert keys(system=A100_NVS4) != base
-        assert keys(n_gpus=32) != base
-        assert keys(global_batch_size=128) != base
-        assert keys(space=replace(SPACE, max_microbatch_size=4)) != base
-        assert keys(options=replace(DEFAULT_OPTIONS, overlap_dp=False)) != base
 
 
 def test_clear_caches_covers_batch_caches():

@@ -131,6 +131,24 @@ class TestOtherCommands:
         assert "relative speed-up" in capsys.readouterr().out
 
 
+class TestUnknownNames:
+    """An unknown registry name is one error line and exit status 2."""
+
+    @pytest.mark.parametrize("bad", ["model", "gpu", "strategy"])
+    @pytest.mark.parametrize("command", ["search", "scaling", "systems", "speedup"])
+    def test_unknown_name_is_a_clean_error(self, capsys, command, bad):
+        argv = [command, "--gpus", "64"]
+        flag = f"--{bad}"
+        if command in ("systems", "speedup"):
+            # The grid commands take their GPU generations from --generations.
+            argv += ["--generations", "B200", "--nvs-sizes", "8"]
+            flag = "--generations" if bad == "gpu" else flag
+        assert main(argv + [flag, "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert "repro-perf: error:" in err and "nosuch" in err
+        assert "Traceback" not in err
+
+
 class TestGpuListParsing:
     def test_commas_whitespace_and_duplicates(self):
         from repro.cli import _parse_gpu_list

@@ -43,6 +43,7 @@ from repro.core.search import (
 )
 from repro.core.system import make_system
 from repro.core.workloads import MOE_MIXTRAL
+from repro.runtime import SearchCache, SearchTask, solve_search_task
 from repro.utils.serialization import dataclass_from_jsonable, to_jsonable
 
 TINY_DENSE = replace(get_model("gpt3-175b"), name="tiny-dense", depth=8)
@@ -321,20 +322,18 @@ class TestDegenerateScalarObjective:
             p.metrics["time"] == classic.best_time for p in pareto.points
         )
 
-    def test_warm_hints_do_not_change_the_frontier(self, b200):
-        kwargs = dict(
-            n_gpus=N_GPUS, global_batch_size=GLOBAL_BATCH,
-            objectives=DEFAULT_PARETO_OBJECTIVES, strategy="tp1d",
-        )
-        cold = find_pareto_configs(TINY_DENSE, b200, **kwargs)
-        donor = find_optimal_config(
+    def test_pareto_task_gets_no_cached_warm_hints(self, b200):
+        """A cached scalar winner of the same structure seeds scalar tasks
+        only: a seed time cannot open a frontier threshold."""
+        scalar = SearchTask(
             TINY_DENSE, b200, n_gpus=N_GPUS, global_batch_size=GLOBAL_BATCH,
             strategy="tp1d",
         )
-        warm = find_pareto_configs(
-            TINY_DENSE, b200, warm_hints=(donor.best.config,), **kwargs
-        )
-        assert [p.metrics for p in cold.points] == [p.metrics for p in warm.points]
+        cache = SearchCache()
+        cache.put(scalar, solve_search_task(scalar))
+        pareto = replace(scalar, n_gpus=2 * N_GPUS, objectives=DEFAULT_PARETO_OBJECTIVES)
+        assert cache.warm_hints(replace(pareto, objectives=())) != ()
+        assert cache.warm_hints(pareto) == ()
 
 
 class TestParetoResultShape:

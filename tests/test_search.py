@@ -162,7 +162,7 @@ class TestNvsDomainEffect:
 
 class TestBatchEvalMode:
     """eval_mode="batch" regressions: the vectorized branch-and-bound with
-    the shared-incumbent board must select exactly what exhaustive scalar
+    the multi-strategy floor must select exactly what exhaustive scalar
     search selects — best config, assignment, breakdown and top-k set."""
 
     MODEL = GPT3_1T
@@ -185,7 +185,7 @@ class TestBatchEvalMode:
         assert batch.best_time == scalar.best_time
 
     def test_pruned_batch_equals_exhaustive_batch(self, b200):
-        """B&B + shared incumbent never changes the optimum (batch pricer)."""
+        """B&B + the multi-strategy floor never change the optimum (batch pricer)."""
         no_prune = SearchSpace(prune_with_lower_bound=False)
         exhaustive = self._solve(
             b200, strategy="all", space=no_prune, eval_mode="batch"
@@ -194,6 +194,26 @@ class TestBatchEvalMode:
         assert pruned.best.config == exhaustive.best.config
         assert pruned.best.assignment == exhaustive.best.assignment
         assert pruned.best_time == exhaustive.best_time
+        assert pruned.statistics.candidates_evaluated < (
+            exhaustive.statistics.candidates_evaluated
+        )
+
+    def test_pruned_scalar_equals_exhaustive_scalar(self, b200):
+        """B&B + the multi-strategy floor never change the optimum (scalar
+        pricer).  At 256 GPUs tp1d wins, so the floor it leaves prunes tp2d
+        and summa, while the exhaustive scalar walk stays short."""
+        kwargs = dict(
+            n_gpus=256, global_batch_size=self.GLOBAL_BATCH, strategy="all",
+            eval_mode="scalar",
+        )
+        exhaustive = find_optimal_config(
+            self.MODEL, b200, space=SearchSpace(prune_with_lower_bound=False), **kwargs
+        )
+        pruned = find_optimal_config(self.MODEL, b200, **kwargs)
+        assert pruned.statistics.shared_incumbent_prunes > 0
+        assert pruned.best.config == exhaustive.best.config
+        assert pruned.best.assignment == exhaustive.best.assignment
+        assert pruned.best.breakdown == exhaustive.best.breakdown
         assert pruned.statistics.candidates_evaluated < (
             exhaustive.statistics.candidates_evaluated
         )
@@ -208,12 +228,19 @@ class TestBatchEvalMode:
             assert got.breakdown == want.breakdown
 
     def test_shared_incumbent_prunes_are_attributed(self, b200):
-        """Cross-strategy sharing fires on an "all" search and is counted in
-        the compare-excluded diagnostics, never in the result equality."""
-        result = self._solve(b200, strategy="all", eval_mode="batch")
-        assert result.statistics.shared_incumbent_prunes > 0
-        scalar = self._solve(b200, strategy="all", eval_mode="scalar")
-        assert scalar.statistics.shared_incumbent_prunes == 0
+        """The floor prunes on an "all" search in both eval modes and is
+        counted in the compare-excluded diagnostics, never in the result
+        equality."""
+        for eval_mode in ("batch", "scalar"):
+            result = self._solve(b200, strategy="all", eval_mode=eval_mode)
+            assert result.statistics.shared_incumbent_prunes > 0, eval_mode
+
+    def test_topk_search_gets_no_floor(self, b200):
+        """A top-k leaderboard prunes on the k-th best, which a floor from an
+        earlier strategy would over-tighten, so none is passed on."""
+        result = self._solve(b200, strategy="all", top_k=5, eval_mode="batch")
+        assert len(result.top_k) == 5
+        assert result.statistics.shared_incumbent_prunes == 0
 
     def test_batch_requires_analytic_backend(self, b200):
         with pytest.raises(ValueError, match="eval_mode='batch'"):

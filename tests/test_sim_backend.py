@@ -163,7 +163,8 @@ class TestBackendCacheIsolation:
         assert after.breakdown == before.breakdown
         assert sim.breakdown != before.breakdown
 
-    def test_sim_search_exercises_cache_counters(self, b200_nvs8):
+    @pytest.mark.parametrize("strategy", ["tp1d", "all"])
+    def test_sim_search_exercises_cache_counters(self, b200_nvs8, strategy):
         """SearchStatistics' memoization counters work under the sim
         backend too (the workload/stage caches are shared by design)."""
         result = find_optimal_config(
@@ -171,7 +172,7 @@ class TestBackendCacheIsolation:
             b200_nvs8,
             n_gpus=32,
             global_batch_size=GLOBAL_BATCH,
-            strategy="tp1d",
+            strategy=strategy,
             backend="sim",
         )
         assert result.found
@@ -180,8 +181,10 @@ class TestBackendCacheIsolation:
         assert stats.workload_cache_hits + stats.workload_cache_misses > 0
         assert stats.stage_cache_hits + stats.stage_cache_misses > 0
         # Pruning is disabled for non-analytic backends (the analytic
-        # bound is only provably admissible for the analytic evaluation).
+        # bound is only provably admissible for the analytic evaluation),
+        # and that includes the floor a multi-strategy search carries.
         assert stats.pruned_configs == 0 and stats.bounds_computed == 0
+        assert stats.shared_incumbent_prunes == 0
 
     def test_sim_search_finds_same_structure_as_analytic(self, b200_nvs8):
         analytic = find_optimal_config(
