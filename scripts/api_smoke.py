@@ -12,6 +12,11 @@ asserting the service's two headline guarantees:
    and ``/v1/status`` reports ``dedup_hits == 1``.  The concurrent phase
    uses a gate-wrapped solver so the overlap is deterministic, not a
    sleep race.
+3. **Persistent cache across a restart** — a server with a cache file
+   solves one search and is shut down and closed; a second server booted
+   on the same file answers the same request with ``source: "cache"``,
+   the same summary and no engine solve, and the file starts with the
+   journal's ``{"version": 9}`` header line.
 
 Exits non-zero on the first violated assertion.  Run locally with:
 
@@ -22,10 +27,13 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
+from repro.runtime.cache import CACHE_FORMAT_VERSION
 from repro.runtime.executor import solve_search_task
 from repro.serve_api import PlannerApp, create_server
 
@@ -135,6 +143,37 @@ def main() -> int:
         server.shutdown()
         server.server_close()
         app.close()
+
+    # ------------------------------------------------------------------
+    # Phase 3: a restarted server answers from the cache file.
+    # ------------------------------------------------------------------
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plans.json"
+        app = PlannerApp(cache_path=path)
+        server, base = serve(app)
+        try:
+            first = post(base, "/v1/search", SEARCH)
+            check(first["source"] == "solved", "first boot solves the search")
+        finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
+        header = path.read_bytes().split(b"\n", 1)[0]
+        check(json.loads(header) == {"version": CACHE_FORMAT_VERSION},
+              f"cache file starts with the journal header (got {header!r})")
+
+        app = PlannerApp(cache_path=path)
+        server, base = serve(app)
+        try:
+            again = post(base, "/v1/search", SEARCH)
+            check(again["source"] == "cache", "restarted server answers from the cache file")
+            check(again["summary"] == first["summary"], "reloaded result is identical")
+            check(get(base, "/v1/status")["engine_solves"] == 0,
+                  "no engine solve after the restart")
+        finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
 
     print("api-smoke: all checks passed")
     return 0

@@ -100,7 +100,14 @@ from repro.utils.serialization import dump_json
 from repro.utils.tables import format_table
 
 
-def _add_common_model_args(parser: argparse.ArgumentParser) -> None:
+def _add_common_model_args(
+    parser: argparse.ArgumentParser, *, single_system: bool = True
+) -> None:
+    """Flags shared by the training-search commands.
+
+    ``--gpu``/``--nvs`` are added only with ``single_system``: the grid
+    commands take ``--generations`` and ``--nvs-sizes`` instead.
+    """
     parser.add_argument(
         "--workload",
         default=None,
@@ -108,8 +115,9 @@ def _add_common_model_args(parser: argparse.ArgumentParser) -> None:
         "takes precedence over --model",
     )
     parser.add_argument("--model", default="gpt3-1t", help="model preset name (legacy alias)")
-    parser.add_argument("--gpu", default="B200", help="GPU generation (A100/H200/B200)")
-    parser.add_argument("--nvs", type=int, default=8, help="NVSwitch domain size")
+    if single_system:
+        parser.add_argument("--gpu", default="B200", help="GPU generation (A100/H200/B200)")
+        parser.add_argument("--nvs", type=int, default=8, help="NVSwitch domain size")
     parser.add_argument("--global-batch", type=int, default=4096, help="global batch size")
     parser.add_argument(
         "--strategy", default="tp1d", help="tp1d, tp2d, summa or 'all'"
@@ -169,7 +177,8 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
         default=None,
-        help="JSON search-cache path; solved points are reused across runs",
+        help="search-cache journal path (JSON lines); solved points are reused "
+        "across runs",
     )
     parser.add_argument(
         "--no-warm-start",
@@ -887,16 +896,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_scaling)
 
-    p = sub.add_parser("systems", help="GPU-generation x NVS grid in training days (Fig. 5)")
-    _add_common_model_args(p)
+    # The two grid commands take their systems from --generations and
+    # --nvs-sizes.  Abbreviations are off so that a stray --gpu or --nvs is
+    # rejected rather than read as a prefix of --gpus or --nvs-sizes.
+    p = sub.add_parser(
+        "systems",
+        help="GPU-generation x NVS grid in training days (Fig. 5)",
+        allow_abbrev=False,
+    )
+    _add_common_model_args(p, single_system=False)
     _add_runtime_args(p)
     p.add_argument("--gpus", type=_parse_gpu_list, default="1024,4096,16384")
     p.add_argument("--generations", default="A100,H200,B200")
     p.add_argument("--nvs-sizes", default="4,8,64")
     p.set_defaults(func=cmd_systems)
 
-    p = sub.add_parser("speedup", help="2D TP speedups over 1D TP (Fig. A4)")
-    _add_common_model_args(p)
+    p = sub.add_parser(
+        "speedup", help="2D TP speedups over 1D TP (Fig. A4)", allow_abbrev=False
+    )
+    _add_common_model_args(p, single_system=False)
     _add_runtime_args(p)
     p.add_argument("--variant", default="summa", help="variant strategy (tp2d or summa)")
     p.add_argument("--gpus", type=_parse_gpu_list, default="1024,4096,16384")
@@ -965,8 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache",
         default=None,
-        help="JSON search-cache path: loaded once at start-up, kept hot in "
-        "memory, saved after every solved batch (omit for in-memory only)",
+        help="search-cache journal path: replayed once at start-up, kept hot "
+        "in memory, new records appended after every solved batch (omit for "
+        "in-memory only)",
     )
     p.add_argument(
         "--no-warm-start",

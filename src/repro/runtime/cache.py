@@ -11,14 +11,21 @@ fingerprinted by the SHA-256 of the canonical JSON of **all** of its inputs
 (model hyper-parameters, full system spec, GPU count, global batch,
 strategy, search-space knobs, modeling options, top-k), so any change to any
 input — even a single bandwidth number of a synthetic heatmap GPU — misses
-the cache instead of returning a stale result.  Entries are stored in their
-JSON form and rebuilt into :class:`~repro.core.search.SearchResult` trees on
-read, so a cache can be persisted to disk and shared across processes and
-sessions via :mod:`repro.utils.serialization`.
+the cache instead of returning a stale result.
+
+In memory an entry is the result object itself, shared by every hit.  On
+disk the cache is an append-only JSON-lines journal: a
+``{"version": 9}`` header, then one compact line per entry
+(``{"entry": fp, "result": ...}``) or hint record
+(``{"hint": key, "record": ...}``).  A save appends only the records put
+since the previous save, so its cost is O(new records) however large the
+file grows; a replayed entry is decoded back into its result tree
+(:mod:`repro.utils.serialization`) on its first hit and kept decoded.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import threading
@@ -36,8 +43,6 @@ from repro.core.search import MAX_WARM_HINTS, TRAINING_OBJECTIVE, SearchResult
 from repro.utils.serialization import (
     canonical_fingerprint,
     dataclass_from_jsonable,
-    dump_json,
-    load_json,
     to_jsonable,
 )
 
@@ -69,7 +74,14 @@ from repro.utils.serialization import (
 #: store different result trees and must never collide), and
 #: :meth:`SearchCache.warm_hints` gained a deterministic final tie-break, so
 #: hint order no longer depends on recording order at equal distance.
-CACHE_FORMAT_VERSION = 8
+#: v9: the file is an append-only JSON-lines journal (a version header, then
+#: one entry or hint record per line) instead of one JSON document rewritten
+#: on every save.  A v8 file is ignored and replaced by the first save.
+CACHE_FORMAT_VERSION = 9
+
+#: First line of every journal; a file that does not start with it is
+#: another format (or garbage) and loads as empty.
+_HEADER = json.dumps({"version": CACHE_FORMAT_VERSION}).encode() + b"\n"
 
 #: Winner records kept per reduced key; the oldest are evicted first.  A
 #: sweep along one axis revisits the same reduced key once per point, so a
@@ -109,37 +121,79 @@ def reduced_fingerprint(task: "SearchTask") -> str:  # noqa: F821 (doc reference
     )
 
 
+def _encode(kind: str, key: str, value: Any) -> bytes:
+    """One journal line: compact, key-sorted JSON (the C encoder) plus ``\\n``.
+
+    ``kind`` is ``"entry"`` (``key`` a fingerprint, ``value`` a result
+    object or its JSON form) or ``"hint"`` (``key`` a reduced fingerprint,
+    ``value`` a winner record).  A result is serialized here, only when its
+    line is written.
+    """
+    if kind == "entry":
+        record = {"entry": key, "result": value if isinstance(value, dict) else to_jsonable(value)}
+    else:
+        record = {"hint": key, "record": value}
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def _decode(line: bytes) -> Any:
+    """The record one journal line holds, or ``None`` when it is not JSON."""
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
 class SearchCache:
-    """In-memory, optionally JSON-persisted store of solved search points.
+    """In-memory, optionally journal-persisted store of solved search points.
 
     Parameters
     ----------
     path:
-        Optional JSON file backing the cache.  When given and the file
-        exists, its entries are loaded eagerly; :meth:`save` writes the
-        current entries back.  A file written by an incompatible
-        :data:`CACHE_FORMAT_VERSION` is silently treated as empty.
+        Optional journal file backing the cache.  When given and the file
+        exists, its records are replayed eagerly; :meth:`save` appends the
+        records put since the previous save.  A file that does not start
+        with the :data:`CACHE_FORMAT_VERSION` header (an older format, or
+        garbage) is treated as empty and replaced by the first save.
 
     A single instance is safe to share between threads (the long-running
     API server keeps one process-wide cache hot across concurrent
-    requests): every lookup, store, counter update and the whole
-    read-merge-replace of :meth:`save` run under one process-local lock.
-    Across processes, :meth:`save` merges under an exclusive file lock, as
-    documented there.
+    requests): every lookup, store, counter update and every save run
+    under one process-local lock.  Across processes, :meth:`save` appends
+    under an exclusive file lock, as documented there.
+
+    Results are shared, not copied: :meth:`get` returns the object
+    :meth:`put` stored (or the one tree decoded from the file), so callers
+    must treat results as immutable.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path: Optional[Path] = Path(path) if path is not None else None
+        # Fingerprint -> result object, or the JSON form of an entry
+        # replayed from the journal and not yet hit (decoded once by get()).
         self._entries: Dict[str, Any] = {}
         # Structure-keyed hint index: reduced fingerprint -> list of winner
         # records ({n_gpus, global_batch_size, arrival_rate, config}).  Fed
         # by put(), consumed by warm_hints(), persisted alongside the exact
         # entries so a restarted API process warm-starts from its history.
         self._hints: Dict[str, List[Dict[str, Any]]] = {}
+        # Records put since the last save, as _encode() arguments.
+        self._unsaved: List[Tuple[str, str, Any]] = []
+        # The journal as last replayed: a read descriptor, the bytes of
+        # complete lines consumed, the record lines among them, and whether
+        # the file must be rewritten (a foreign header or a malformed line).
+        # The descriptor is held open because a file system may give a
+        # replaced file's inode number to the next new file (ext4 does), so
+        # comparing bare inode numbers could mistake a twice-compacted
+        # journal for the one already read.
+        self._fd: Optional[int] = None
+        self._offset = 0
+        self._lines = 0
+        self._stale = False
         self.hits = 0
         self.misses = 0
-        # Reentrant so save()'s merge can call helpers that also lock, and
-        # so a subclass hook running under the lock can still use get/put.
+        # Reentrant so a subclass hook running under the lock can still use
+        # get/put.
         self._lock = threading.RLock()
         if self.path is not None and self.path.exists():
             self._load()
@@ -200,37 +254,49 @@ class SearchCache:
         Training tasks yield a :class:`~repro.core.search.SearchResult`,
         serving-objective tasks a
         :class:`~repro.core.inference.ServingSearchResult` (see
-        :meth:`_result_type`).
+        :meth:`_result_type`).  A hit returns the stored object itself: an
+        entry replayed from the journal is decoded on its first hit and
+        the decoded tree replaces its JSON form, so later hits share it.
         """
         fp = self.fingerprint(task)
         with self._lock:
             entry = self._entries.get(fp)
-            if entry is not None:
+            if isinstance(entry, dict):
                 try:
-                    result = dataclass_from_jsonable(self._result_type(task), entry)
+                    entry = dataclass_from_jsonable(self._result_type(task), entry)
                 except (TypeError, KeyError, ValueError, AttributeError):
                     # Hand-edited / schema-drifted / corrupted entry: drop it
                     # and recompute rather than aborting the whole sweep.
                     self._entries.pop(fp, None)
+                    entry = None
                 else:
-                    self.hits += 1
-                    return result
+                    self._entries[fp] = entry
+            if entry is not None:
+                self.hits += 1
+                return entry
             self.misses += 1
             return None
 
     def put(self, task, result: SearchResult) -> None:
-        """Store ``result`` under ``task``'s fingerprint.
+        """Store ``result`` itself under ``task``'s fingerprint.
 
+        Nothing is serialized here: a cache with a path queues the record
+        for the next :meth:`save`, one without never serializes at all.
         The winner (when one exists) is additionally recorded in the
         structure-keyed hint index, so later tasks of the same structure at
         *different* points can warm-start from it (:meth:`warm_hints`).
         """
-        entry = to_jsonable(result)
         with self._lock:
-            self._entries[self.fingerprint(task)] = entry
+            fp = self.fingerprint(task)
+            self._entries[fp] = result
+            if self.path is not None:
+                self._unsaved.append(("entry", fp, result))
             record = self._hint_record(task, result)
             if record is not None:
-                self._record_hint(reduced_fingerprint(task), record)
+                key = reduced_fingerprint(task)
+                self._record_hint(key, record)
+                if self.path is not None:
+                    self._unsaved.append(("hint", key, record))
 
     @staticmethod
     def _hint_record(task, result) -> Optional[Dict[str, Any]]:
@@ -263,8 +329,8 @@ class SearchCache:
         global batch size, then of arrival rate, with the canonical
         fingerprint of the config as the final tie-break so equidistant
         records rank identically no matter in which order sweeps recorded
-        them (merge-on-save can interleave buckets arbitrarily across
-        processes).  The configs are raw
+        them (writers in several processes interleave their journal appends
+        arbitrarily).  The configs are raw
         (native to the point they won at); the solver adapts and validates
         them (:func:`repro.core.search.adapt_warm_hints`), so a hint can
         never change the search result, only speed it up.
@@ -323,93 +389,162 @@ class SearchCache:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: str | Path | None = None) -> Optional[Path]:
-        """Persist all entries as JSON; returns the path written (if any).
+    def save(self) -> Optional[Path]:
+        """Append the records put since the last save; returns the path (if any).
 
-        The write is atomic (temp file + ``os.replace``), so an interrupted
-        save never truncates an existing cache, and the pid-suffixed temp
-        file is unlinked even when serialization fails mid-write (disk
-        full, unserializable entry), so aborted saves leave no litter.
-        Entries another process wrote to the same file are merged in: the
-        file is re-read at save time and our entries overlaid (fingerprints
-        are content hashes, so colliding entries are equal).  The whole
-        read-merge-replace runs under the cache lock *and* an exclusive
-        ``flock`` on the file's directory, so neither concurrent threads nor
-        concurrent processes can drop each other's entries.
+        Under the cache lock *and* an exclusive ``flock`` on the file's
+        directory, so neither threads nor processes interleave:
+
+        1. Replay only the bytes other writers appended since this cache
+           last read the file.  If the file was replaced (another process
+           compacted it) or shrank, replay it from the start.  Fingerprints
+           are content hashes, so a replayed duplicate of an entry equals
+           the one already held.
+        2. Append every unsaved record with one ``O_APPEND`` write.
+
+        Instead of appending, the file is *compacted* — the header and
+        every live record written to a pid-suffixed temp file, then
+        ``os.replace``\\ d over the journal — when it is missing, does not
+        start with the v9 header, holds a torn (a writer killed
+        mid-append) or malformed line, or would hold more than twice as
+        many record lines as live records.  So a new record is never
+        appended onto a torn fragment, an interrupted compaction never
+        truncates the journal, and the temp file is unlinked even when the
+        write fails.
         """
-        target = Path(path) if path is not None else self.path
-        if target is None:
+        if self.path is None:
             return None
-        with self._lock, _directory_lock(target):
-            stored, merged_hints = self._read(target)
-            merged = {**stored, **self._entries}
-            for key, bucket in self._hints.items():
-                for record in bucket:
-                    existing = merged_hints.setdefault(key, [])
-                    existing[:] = [r for r in existing if r != record]
-                    existing.append(record)
-                del merged_hints[key][:-_MAX_HINTS_PER_KEY]
-            tmp = target.with_name(f"{target.name}.tmp{os.getpid()}")
-            try:
-                dump_json(
-                    {
-                        "version": CACHE_FORMAT_VERSION,
-                        "entries": merged,
-                        "hints": merged_hints,
-                    },
-                    tmp,
-                )
-                os.replace(tmp, target)
-            finally:
-                # No-op on success (os.replace consumed the temp file);
-                # best-effort cleanup when the dump or the replace raised.
-                try:
-                    tmp.unlink(missing_ok=True)
-                except OSError:
-                    pass
-            self._entries = merged
-            self._hints = merged_hints
-            return target
+        with self._lock, _directory_lock(self.path):
+            current = self._catch_up()
+            live = len(self._entries) + sum(len(b) for b in self._hints.values())
+            if not current or self._lines + len(self._unsaved) > 2 * live:
+                self._compact()
+            elif self._unsaved:
+                self._append()
+            self._unsaved = []
+            return self.path
 
-    @staticmethod
-    def _read(path: Path) -> Tuple[Dict[str, Any], Dict[str, List[Dict[str, Any]]]]:
-        """``(entries, hints)`` stored in ``path``; empty on missing/corrupt/old files.
+    def _catch_up(self) -> bool:
+        """Replay what other writers appended; ``False`` if the file needs rewriting.
 
-        The file is parsed once.  ``json.loads`` failures (truncated writes,
-        binary garbage, undecodable bytes — all of which surface as
-        ``ValueError`` subclasses — and OS errors such as the path being a
-        directory) degrade to an empty cache, and individually malformed
-        entry values and hint records are filtered out so a partly corrupted
-        file never poisons a later :meth:`save`.
+        Runs under the directory lock, so an unterminated final line is a
+        writer killed mid-append, not one still writing.
         """
         try:
-            data = load_json(path)
-        except (OSError, ValueError):
-            return {}, {}
-        if not isinstance(data, dict) or data.get("version") != CACHE_FORMAT_VERSION:
-            return {}, {}
-        entries = data.get("entries")
-        hints = data.get("hints")
-        if not isinstance(entries, dict):
-            entries = {}
-        if not isinstance(hints, dict):
-            hints = {}
-        return (
-            {k: v for k, v in entries.items() if isinstance(v, dict)},
-            {
-                key: [r for r in bucket if isinstance(r, dict)]
-                for key, bucket in hints.items()
-                if isinstance(bucket, list)
-            },
-        )
+            st = os.stat(self.path)
+            if (
+                self._fd is None
+                or not os.path.samestat(os.fstat(self._fd), st)
+                or st.st_size < self._offset
+            ):
+                self._open()
+        except FileNotFoundError:
+            return False
+        torn = self._replay()
+        return not (torn or self._stale or self._offset == 0)
+
+    def _append(self) -> None:
+        """Write every unsaved record at the journal's end with one ``O_APPEND`` write."""
+        payload = b"".join(_encode(*record) for record in self._unsaved)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            _write_all(fd, payload)
+        finally:
+            os.close(fd)
+        self._offset += len(payload)
+        self._lines += len(self._unsaved)
+
+    def _compact(self) -> None:
+        """Replace the file with the header plus every live record."""
+        lines = [_HEADER]
+        lines.extend(_encode("entry", fp, entry) for fp, entry in self._entries.items())
+        for key, bucket in self._hints.items():
+            lines.extend(_encode("hint", key, record) for record in bucket)
+        payload = b"".join(lines)
+        tmp = self.path.with_name(f"{self.path.name}.tmp{os.getpid()}")
+        fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            _write_all(fd, payload)
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.close(fd)
+            try:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass
+            raise
+        # The temp file's descriptor now reads the journal itself.
+        self._close()
+        self._fd = fd
+        self._offset = len(payload)
+        self._lines = len(lines) - 1
+        self._stale = False
+
+    def _open(self) -> None:
+        """Hold a fresh read descriptor on the journal; nothing replayed yet."""
+        self._close()
+        self._fd = os.open(self.path, os.O_RDONLY)
+        self._offset = 0
+        self._lines = 0
+        self._stale = False
+
+    def _replay(self) -> bool:
+        """Apply the journal's complete lines past ``_offset``; ``True`` on a torn tail.
+
+        Each line is parsed once.  A foreign first line (another format
+        version, garbage) makes the whole file ignored, and a malformed
+        record line (not JSON, or not an entry or hint record with a dict
+        payload) is skipped; both mark the file for compaction.
+        """
+        data = _read_from(self._fd, self._offset)
+        end = data.rfind(b"\n") + 1
+        lines = data[:end].split(b"\n")[:-1]
+        if self._offset == 0 and lines:
+            if _decode(lines.pop(0)) != {"version": CACHE_FORMAT_VERSION}:
+                self._stale = True
+                return False
+        for line in lines:
+            record = _decode(line)
+            if not isinstance(record, dict):
+                self._stale = True
+            elif isinstance(record.get("entry"), str) and isinstance(record.get("result"), dict):
+                self._entries.setdefault(record["entry"], record["result"])
+            elif isinstance(record.get("hint"), str) and isinstance(record.get("record"), dict):
+                self._record_hint(record["hint"], record["record"])
+            else:
+                self._stale = True
+        self._lines += len(lines)
+        self._offset += end
+        return end < len(data)
 
     def _load(self) -> None:
+        """Replay the whole file (an unreadable one loads as empty)."""
         with self._lock:
-            entries, hints = self._read(self.path)
-            self._entries.update(entries)
-            for key, bucket in hints.items():
-                for record in bucket:
-                    self._record_hint(key, record)
+            try:
+                self._open()
+                self._replay()
+            except OSError:
+                self._close()
+
+    def _close(self) -> None:
+        """Close the journal descriptor, if one is held."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
+
+    def close(self) -> None:
+        """Release the journal's read descriptor.
+
+        The cache stays usable: lookups never touch the file, and the next
+        :meth:`save` reopens it and replays whatever it holds.
+        """
+        with self._lock:
+            self._close()
+
+    def __del__(self) -> None:
+        """Release the descriptor of a cache dropped without :meth:`close`."""
+        if getattr(self, "_fd", None) is not None:
+            self._close()
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss/size counters (for reports and the CLI summary line)."""
@@ -421,6 +556,22 @@ class SearchCache:
                 "hint_keys": len(self._hints),
                 "hint_entries": sum(len(b) for b in self._hints.values()),
             }
+
+
+def _write_all(fd: int, payload: bytes) -> None:
+    """Write all of ``payload`` to ``fd``, resuming after short writes."""
+    view = memoryview(payload)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_from(fd: int, offset: int) -> bytes:
+    """Every byte of ``fd`` from ``offset`` to its current end."""
+    os.lseek(fd, offset, os.SEEK_SET)
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 @contextmanager

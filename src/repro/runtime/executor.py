@@ -164,15 +164,15 @@ def estimate_task_cost(task: SearchTask) -> float:
     :meth:`SweepExecutor.run` to dispatch the longest searches first
     (longest-processing-time order), so one huge GPU-count point submitted
     last no longer serializes the tail of a sweep.  Falls back to the GPU
-    count if the enumeration itself rejects the task (the solver will
-    surface the real error).
+    count, unscaled in either mode, for each strategy the enumeration
+    itself rejects (the solver will surface the real error).
     """
-    total = 0
+    counted = fallback = 0
     if task.objective != TRAINING_OBJECTIVE and not task.objectives:
         try:
-            total = _serving_task_candidates(task)
+            counted = _serving_task_candidates(task)
         except (ValueError, KeyError):
-            total = task.n_gpus
+            fallback = task.n_gpus
     else:
         try:
             strategies = resolve_strategies(task.strategy)
@@ -188,12 +188,12 @@ def estimate_task_cost(task: SearchTask) -> float:
                     task.system.nvs_domain_size,
                     task.space,
                 )
-                total += n_candidates
+                counted += n_candidates
             except (ValueError, KeyError):
-                total += task.n_gpus
+                fallback += task.n_gpus
     if task.eval_mode == "batch":
-        return float(total) * _BATCH_MODE_COST_FACTOR
-    return float(total)
+        return float(counted) * _BATCH_MODE_COST_FACTOR + fallback
+    return float(counted + fallback)
 
 
 def solve_search_task(task: SearchTask):

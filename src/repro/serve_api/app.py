@@ -62,10 +62,11 @@ class PlannerApp:
     Parameters
     ----------
     cache_path:
-        Optional JSON file the warm cache persists to.  The cache itself
-        always lives in memory; when a path is given it is loaded once at
-        start-up and saved (atomically, merge-on-save) after every solved
-        batch, so a restarted server warms up from disk.
+        Optional journal file the warm cache persists to.  The cache
+        itself always lives in memory; when a path is given it is replayed
+        once at start-up, and every solved batch appends its new records
+        to the file (other writers' appends are replayed first), so a
+        restarted server warms up from disk.
     jobs:
         Worker processes of the shared pool.  ``1`` (the default) solves
         in the request thread — with ``ThreadingHTTPServer`` each request
@@ -413,6 +414,8 @@ class PlannerApp:
         }
 
     def close(self) -> None:
-        """Release the worker pool and persist the cache one last time."""
+        """Release the worker pool, persist the cache one last time and
+        release its journal descriptor."""
         self.executor.close()
         self.cache.save()
+        self.cache.close()

@@ -18,12 +18,13 @@ solved sweep points across processes and sessions:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import types
 import typing
 from pathlib import Path
-from typing import Any
+from typing import Any, Tuple
 
 #: ``X | None`` unions (PEP 604) have their own runtime origin on 3.10+.
 _UNION_ORIGINS = (typing.Union, getattr(types, "UnionType", typing.Union))
@@ -133,13 +134,22 @@ def dataclass_from_jsonable(cls: type, data: Any) -> Any:
         return None
     if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)):
         raise TypeError(f"{cls!r} is not a dataclass type")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if not f.init or f.name not in data:
-            continue
-        kwargs[f.name] = _convert(hints.get(f.name, Any), data[f.name])
+    kwargs = {
+        name: _convert(hint, data[name]) for name, hint in _init_fields(cls) if name in data
+    }
     return cls(**kwargs)
+
+
+@functools.lru_cache(maxsize=None)
+def _init_fields(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, type hint)`` of every init field of dataclass ``cls``.
+
+    Resolving the hints (``typing.get_type_hints`` evaluates every string
+    annotation) costs far more than building an instance, so it runs once
+    per class, not once per rebuilt instance.
+    """
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints.get(f.name, Any)) for f in dataclasses.fields(cls) if f.init)
 
 
 def canonical_fingerprint(obj: Any) -> str:

@@ -65,20 +65,25 @@ def test_corrupted_cache_file_is_recovered_by_save(tmp_path):
     assert fresh.hits == 1
 
 
+def _records(path):
+    """The journal's parsed header and its parsed record lines."""
+    header, *lines = path.read_bytes().splitlines()
+    return json.loads(header), [json.loads(line) for line in lines]
+
+
 def test_malformed_entry_values_are_filtered_on_load(tmp_path):
-    """Entry values that are not dicts are dropped instead of resaved."""
+    """Records whose result is not a dict are dropped, then compacted away."""
     path = tmp_path / "cache.json"
     _solved_cache(path)
-    data = json.loads(path.read_text())
-    (good_fp,) = data["entries"]
-    data["entries"]["deadbeef"] = "not a result"
-    data["entries"]["cafebabe"] = 42
-    path.write_text(json.dumps(data))
+    (good_fp,) = [r["entry"] for r in _records(path)[1] if "entry" in r]
+    with path.open("ab") as fh:
+        fh.write(b'{"entry":"deadbeef","result":"not a result"}\n')
+        fh.write(b'{"entry":"cafebabe","result":42}\n')
     cache = SearchCache(path)
     assert len(cache) == 1  # only the well-formed entry survives
-    cache.save()
-    reloaded = json.loads(path.read_text())
-    assert set(reloaded["entries"]) == {good_fp}
+    cache.save()  # malformed lines make the save rewrite the file
+    _, records = _records(path)
+    assert {r["entry"] for r in records if "entry" in r} == {good_fp}
 
 
 def test_schema_drifted_entry_is_dropped_and_recomputed(tmp_path):
@@ -96,9 +101,9 @@ def test_save_over_corrupted_file_succeeds(tmp_path):
     path.write_bytes(b"\x00\x01corrupt")
     cache = SearchCache(path)
     SweepExecutor(cache=cache).run([_task()])
-    data = json.loads(path.read_text())
-    assert data["version"] == CACHE_FORMAT_VERSION
-    assert len(data["entries"]) == 1
+    header, records = _records(path)
+    assert header == {"version": CACHE_FORMAT_VERSION}
+    assert len([r for r in records if "entry" in r]) == 1
 
 
 def test_old_format_version_is_discarded(tmp_path):

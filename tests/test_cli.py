@@ -149,6 +149,20 @@ class TestUnknownNames:
         assert "Traceback" not in err
 
 
+class TestGridCommandsTakeNoSingleSystem:
+    """``systems``/``speedup`` read --generations/--nvs-sizes; --gpu/--nvs are usage errors."""
+
+    @pytest.mark.parametrize("flag,value", [("--gpu", "X100"), ("--nvs", "64")])
+    @pytest.mark.parametrize("command", ["systems", "speedup"])
+    def test_single_system_flags_are_rejected(self, capsys, command, flag, value):
+        argv = [command, "--gpus", "64", "--generations", "B200", "--nvs-sizes", "8"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err
+
+
 class TestGpuListParsing:
     def test_commas_whitespace_and_duplicates(self):
         from repro.cli import _parse_gpu_list

@@ -1,6 +1,8 @@
 """Sweep-execution runtime: executor, search cache and search pruning."""
 
 import dataclasses
+import json
+import os
 
 import pytest
 
@@ -55,13 +57,19 @@ def _stub_result(task):
     )
 
 
-def _cross_process_writer(path, n_gpus, barrier):
-    """One writer process: load the (empty) cache, sync, put, save."""
+def _cross_process_writer(path, gpu_counts, barrier):
+    """One writer process: load the cache, sync, then put and save each point.
+
+    A writer given the same point many times piles duplicate lines onto the
+    journal, so its saves (or another writer's) compact the file.
+    """
     cache = SearchCache(path)
-    barrier.wait(timeout=30)  # both processes load before either saves
-    task = _task(make_system("B200", 8), n_gpus)
-    cache.put(task, _stub_result(task))
-    cache.save()
+    barrier.wait(timeout=30)  # every process loads before any saves
+    system = make_system("B200", 8)
+    for n_gpus in gpu_counts:
+        task = _task(system, n_gpus)
+        cache.put(task, _stub_result(task))
+        cache.save()
 
 
 class TestSweepExecutor:
@@ -270,74 +278,88 @@ class TestSearchCache:
         assert len(SearchCache(path)) == n_threads * per_thread
 
     def test_failed_save_leaves_no_temp_file(self, b200, tmp_path, monkeypatch):
-        """Regression: an aborted write leaked ``cache.json.tmp<pid>``."""
+        """A failed compaction leaves no temp file and the old file untouched."""
         import repro.runtime.cache as cache_mod
 
         path = tmp_path / "cache.json"
+        # An older format: the first save must compact it into a journal.
+        path.write_text('{"version": 8, "entries": {}, "hints": {}}')
+        old = path.read_bytes()
         cache = SearchCache(path)
-        cache.put(_task(b200, 128), _stub_result(_task(b200, 128)))
-        cache.save()
-        good = path.read_bytes()
+        task = _task(b200, 128)
+        cache.put(task, _stub_result(task))
 
-        def failing_dump(obj, target):
-            target.write_text("partial garbage")  # simulate a mid-write crash
+        def failing_write(fd, payload):
+            os.write(fd, payload[: len(payload) // 2])  # a mid-write crash
             raise OSError("disk full")
 
-        monkeypatch.setattr(cache_mod, "dump_json", failing_dump)
-        cache.put(_task(b200, 256), _stub_result(_task(b200, 256)))
+        monkeypatch.setattr(cache_mod, "_write_all", failing_write)
         with pytest.raises(OSError, match="disk full"):
             cache.save()
         # The half-written temp file is cleaned up and the previous cache
         # file is untouched (the atomic replace never ran).
         assert list(tmp_path.iterdir()) == [path]
-        assert path.read_bytes() == good
+        assert path.read_bytes() == old
+        # The record stays queued: the next save writes it.
+        monkeypatch.undo()
+        cache.save()
+        assert SearchCache(path).get(task) == _stub_result(task)
 
     def test_file_is_parsed_once_per_load_and_per_save(self, b200, tmp_path, monkeypatch):
-        """Entries and hints come from one parse of the file, not one each."""
+        """Load parses each line once; a save reads no record it already has."""
         import repro.runtime.cache as cache_mod
 
         path = tmp_path / "cache.json"
-        task = _task(b200, 128)
         seeded = SearchCache(path)
-        seeded.put(task, _stub_result(task))
+        for n in (128, 256):
+            seeded.put(_task(b200, n), _stub_result(_task(b200, n)))
         seeded.save()
 
-        calls = []
-        real_load_json = cache_mod.load_json
+        parsed = []
+        real_decode = cache_mod._decode
 
-        def counting_load_json(target):
-            calls.append(target)
-            return real_load_json(target)
+        def counting_decode(line):
+            parsed.append(line)
+            return real_decode(line)
 
-        monkeypatch.setattr(cache_mod, "load_json", counting_load_json)
+        monkeypatch.setattr(cache_mod, "_decode", counting_decode)
         cache = SearchCache(path)
-        assert len(calls) == 1
-        assert len(cache) == 1
-        cache.put(_task(b200, 256), _stub_result(_task(b200, 256)))
+        assert len(cache) == 2
+        assert parsed == path.read_bytes().splitlines()  # header + 2 records, once each
+        parsed.clear()
+        cache.put(_task(b200, 512), _stub_result(_task(b200, 512)))
         cache.save()
-        assert len(calls) == 2
-        assert len(SearchCache(path)) == 2
+        assert parsed == []  # the journal was unchanged since the load
+        assert len(SearchCache(path)) == 3
 
     def test_cross_process_save_merges_disjoint_entries(self, b200, tmp_path):
-        """Two processes saving disjoint entries both survive on disk."""
+        """Four processes append to one journal while it is compacted; none loses an entry."""
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         path = tmp_path / "cache.json"
-        barrier = ctx.Barrier(2)
+        SearchCache(path).save()  # an empty journal every writer loads
+        writers = [(128, 136), (256, 264), (512, 520), (1024,) * 16]
+        barrier = ctx.Barrier(len(writers))
         procs = [
-            ctx.Process(target=_cross_process_writer, args=(path, n, barrier))
-            for n in (128, 256)
+            ctx.Process(target=_cross_process_writer, args=(path, counts, barrier))
+            for counts in writers
         ]
         for p in procs:
             p.start()
         for p in procs:
             p.join(timeout=60)
-        assert [p.exitcode for p in procs] == [0, 0]
+        assert [p.exitcode for p in procs] == [0] * len(writers)
+        distinct = {n for counts in writers for n in counts}
+        lines = path.read_bytes().splitlines()
+        # Without a compaction the file would hold every save's lines.
+        saves = sum(len(counts) for counts in writers)
+        assert len(lines) < 1 + saves
+        assert all(json.loads(line) for line in lines)
         merged = SearchCache(path)
-        assert len(merged) == 2
-        assert merged.get(_task(b200, 128)) is not None
-        assert merged.get(_task(b200, 256)) is not None
+        assert len(merged) == len(distinct)
+        for n in distinct:
+            assert merged.get(_task(b200, n)) == _stub_result(_task(b200, n))
 
     def test_executor_uses_cache(self, b200):
         cache = SearchCache()

@@ -85,6 +85,25 @@ class TestSerialization:
         path = dump_json({"a": 1}, tmp_path / "sub" / "dir" / "x.json")
         assert path.exists()
 
+    def test_type_hints_resolve_once_per_class(self, monkeypatch):
+        """Rebuilding instances reuses each class's resolved type hints."""
+        import typing
+
+        resolved = []
+        real = typing.get_type_hints
+
+        def counting(cls, *args, **kwargs):
+            resolved.append(cls)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(typing, "get_type_hints", counting)
+        data = to_jsonable(_Point(1, 2.5, "hi"))
+        first = dataclass_from_jsonable(_Point, data)
+        resolved.clear()
+        rebuilt = [dataclass_from_jsonable(_Point, data) for _ in range(3)]
+        assert rebuilt == [first] * 3 == [_Point(1, 2.5, "hi")] * 3
+        assert resolved == []
+
 
 @dataclass(frozen=True)
 class _UnionHolder:

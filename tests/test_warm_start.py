@@ -268,6 +268,9 @@ class TestEstimateTaskCost:
     def test_bad_task_fallback_ignores_eval_mode_scaling(self, b200):
         bad = _task(b200, 256, strategy="no-such-strategy")
         assert estimate_task_cost(bad) == 256.0
+        # The GPU-count fallback is not a candidate count: no batch discount.
+        bad_batch = _task(b200, 256, strategy="no-such-strategy", eval_mode="batch")
+        assert estimate_task_cost(bad_batch) == 256.0
 
     def test_serving_cost_counts_the_serving_enumeration(self, b200):
         """A serving task is priced by what its solver enumerates: the
