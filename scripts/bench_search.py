@@ -5,8 +5,9 @@ Measures the warm-start machinery (PR: cross-point incumbent seeding and
 the structure-keyed hint index) on the two traffic shapes it targets:
 
 * **Scaling sweep** (fig. 4a style): the gpt3-1t preset on a B200 NVS-64
-  system, global batch 4096, ``tp1d``, vectorized (``batch``) pricing,
-  across the GPU grid 4k..128k.  The cold run searches every point from
+  system, global batch 4096, ``tp1d``, across the GPU grid 4k..128k.  The
+  sweep is analytic, so the runtime prices it with the vectorized batch
+  pricer.  The cold run searches every point from
   scratch; the warm run chains each point's winner into the next point's
   branch-and-bound incumbent.  Results must be identical — the script
   fails if any optimum differs — while the warm run evaluates fewer
@@ -56,7 +57,6 @@ SWEEP_MODEL = "gpt3-1t"
 SWEEP_SYSTEM = ("B200", 64)
 SWEEP_BATCH = 4096
 SWEEP_STRATEGY = "tp1d"
-SWEEP_EVAL_MODE = "batch"
 
 
 def _sweep_once(warm_start: bool):
@@ -70,7 +70,6 @@ def _sweep_once(warm_start: bool):
         strategy=SWEEP_STRATEGY,
         n_gpus_list=SWEEP_GPUS,
         global_batch_size=SWEEP_BATCH,
-        eval_mode=SWEEP_EVAL_MODE,
         warm_start=warm_start,
     )
     wall = time.perf_counter() - start
@@ -111,7 +110,6 @@ def bench_sweep(repeats: int) -> dict:
         "system": "-NVS".join(str(x) for x in SWEEP_SYSTEM),
         "strategy": SWEEP_STRATEGY,
         "global_batch": SWEEP_BATCH,
-        "eval_mode": SWEEP_EVAL_MODE,
         "gpus": list(SWEEP_GPUS),
         "repeats": repeats,
         "cold": cold,
@@ -141,7 +139,6 @@ def _replay_requests():
                         "nvs": 64,
                         "gpus": gpus,
                         "global_batch": batch,
-                        "eval_mode": SWEEP_EVAL_MODE,
                     },
                 )
             )
@@ -170,7 +167,6 @@ def _replay_requests():
                         "nvs": 64,
                         "gpus": gpus,
                         "global_batch": batch,
-                        "eval_mode": SWEEP_EVAL_MODE,
                     },
                 )
             )

@@ -1,13 +1,17 @@
 #!/usr/bin/env python
 """Tier-2 wall-clock guard for the optimal-configuration search hot path.
 
-Times ``repro-perf search`` on the gpt3-1t preset (the paper's headline
-workload) in both evaluation modes and fails when either best-of-N
+Times the optimal-configuration search on the gpt3-1t preset (the paper's
+headline workload) with both pricers and fails when either best-of-N
 wall-clock regresses more than the tolerance over its committed baseline:
 
-* ``benchmarks/baselines/search_gpt3_1t.json`` — the scalar oracle path;
-* ``benchmarks/baselines/search_gpt3_1t_batch.json`` — the vectorized
-  (``--eval-mode batch``) path;
+* ``benchmarks/baselines/search_gpt3_1t.json`` — the scalar oracle path:
+  :func:`repro.core.search.find_optimal_config` in-process with the
+  engine's default ``eval_mode`` on the point ``repro-perf search``
+  searches;
+* ``benchmarks/baselines/search_gpt3_1t_batch.json`` — ``repro-perf
+  search`` itself, which the runtime prices with the vectorized batch
+  pricer;
 * ``benchmarks/baselines/sweep_gpt3_1t_warm.json`` — the warm-started
   fig. 4a-style scaling sweep (cross-point incumbent seeding on);
 * ``benchmarks/baselines/pareto_gpt3_1t.json`` — the multi-objective
@@ -29,6 +33,9 @@ calibration and cannot be fooled by runner speed.
 The guard is deliberately end-to-end — it exercises candidate enumeration,
 the cost-plan build/reduce, branch-and-bound pruning, the NumPy batch
 pricer and the CLI — so a slowdown anywhere on the search path trips it.
+The scalar baseline skips the CLI (which no longer offers the scalar
+pricer); its few milliseconds of argument parsing and printing are noise
+next to the search.
 
 Usage::
 
@@ -72,13 +79,18 @@ DEFAULT_PARETO_BASELINE = (
 
 #: The guarded command: the gpt3-1t preset across all three strategies at a
 #: figure-scale GPU count — a few seconds of work, so the measurement
-#: dominates interpreter start-up noise.
+#: dominates interpreter start-up noise.  The CLI prices it in batch.
 SEARCH_ARGV = [
     "search", "--model", "gpt3-1t", "--gpus", "4096", "--strategy", "all", "--top-k", "5",
 ]
 
-#: The same search through the vectorized pricer.
-BATCH_SEARCH_ARGV = SEARCH_ARGV + ["--eval-mode", "batch"]
+#: What the scalar baseline runs: the point ``SEARCH_ARGV`` searches (the
+#: CLI's default B200 NVS-8 system and global batch 4096), priced by the
+#: scalar oracle.
+SCALAR_SEARCH = (
+    "find_optimal_config(gpt3-1t, B200-NVS8, n_gpus=4096, global_batch_size=4096, "
+    "strategy='all', top_k=5)"
+)
 
 #: Minimum end-to-end speedup of the batch path over the scalar path,
 #: measured back-to-back in the same process.  The array programs price the
@@ -94,7 +106,6 @@ SWEEP_GPUS = "4096,8192,16384,32768,65536,131072"
 SWEEP_ARGV = [
     "scaling", "--model", "gpt3-1t", "--gpu", "B200", "--nvs", "64",
     "--gpus", SWEEP_GPUS, "--global-batch", "4096", "--strategy", "tp1d",
-    "--eval-mode", "batch",
 ]
 
 #: Minimum end-to-end wall-clock speedup of the warm-started sweep over
@@ -112,7 +123,6 @@ MIN_WARM_CANDIDATE_RATIO = 2.0
 #: the default four-objective set, vectorized pricing.
 PARETO_ARGV = [
     "pareto", "--model", "gpt3-1t", "--gpus", "4096", "--strategy", "all",
-    "--eval-mode", "batch",
 ]
 
 
@@ -138,7 +148,7 @@ def calibrate(repeats: int = 3) -> float:
 
 
 def time_search(argv, repeats: int) -> float:
-    """Best-of-``repeats`` wall-clock of the guarded search (seconds)."""
+    """Best-of-``repeats`` wall-clock of the guarded CLI search (seconds)."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.cli import main
     from repro.core.execution import clear_caches
@@ -154,6 +164,37 @@ def time_search(argv, repeats: int) -> float:
         if rc != 0:
             raise SystemExit(f"guarded search failed with exit code {rc}")
         best = min(best, elapsed)
+    return best
+
+
+def time_scalar_search(repeats: int) -> float:
+    """Best-of-``repeats`` wall-clock of :data:`SCALAR_SEARCH` (seconds).
+
+    Runs :func:`repro.core.search.find_optimal_config` in-process with the
+    engine's default ``eval_mode``, the per-candidate scalar oracle, on the
+    model, space and options ``repro-perf search`` resolves for
+    :data:`SEARCH_ARGV`.
+    """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.core.execution import clear_caches
+    from repro.core.search import find_optimal_config
+    from repro.core.system import make_system
+    from repro.core.workloads import get_workload, scenario_space
+
+    model = get_workload("gpt3-1t").model
+    system = make_system("B200", 8)
+    space = scenario_space("gpt3-1t")
+    best = float("inf")
+    for _ in range(repeats):
+        clear_caches()
+        start = time.perf_counter()
+        result = find_optimal_config(
+            model, system, n_gpus=4096, global_batch_size=4096,
+            strategy="all", space=space, top_k=5,
+        )
+        best = min(best, time.perf_counter() - start)
+        if not result.found:
+            raise SystemExit("guarded scalar search found no configuration")
     return best
 
 
@@ -183,7 +224,6 @@ def time_sweep(warm_start: bool, repeats: int):
             strategy="tp1d",
             n_gpus_list=[int(x) for x in SWEEP_GPUS.split(",")],
             global_batch_size=4096,
-            eval_mode="batch",
             warm_start=warm_start,
         )
         best = min(best, time.perf_counter() - start)
@@ -223,13 +263,13 @@ def time_pareto(repeats: int):
 
 
 def _write_baseline(
-    path: Path, argv, measured: float, calibration: float, repeats: int, **extra
+    path: Path, command: str, measured: float, calibration: float, repeats: int, **extra
 ) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(
             {
-                "command": "repro-perf " + " ".join(argv),
+                "command": command,
                 "wall_seconds": round(measured, 4),
                 "calibration_seconds": round(calibration, 5),
                 "repeats": repeats,
@@ -241,6 +281,11 @@ def _write_baseline(
         )
         + "\n"
     )
+
+
+def _command(argv) -> str:
+    """The shell form of a ``repro-perf`` invocation, as baselines record it."""
+    return "repro-perf " + " ".join(argv)
 
 
 def _check_baseline(
@@ -284,8 +329,8 @@ def main_guard(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    measured = time_search(SEARCH_ARGV, args.repeats)
-    measured_batch = time_search(BATCH_SEARCH_ARGV, args.repeats)
+    measured = time_scalar_search(args.repeats)
+    measured_batch = time_search(SEARCH_ARGV, args.repeats)
     cold_wall, cold_candidates = time_sweep(False, args.repeats)
     warm_wall, warm_candidates = time_sweep(True, args.repeats)
     pareto_wall, frontier_size = time_pareto(args.repeats)
@@ -298,14 +343,17 @@ def main_guard(argv=None) -> int:
         or not args.warm_baseline.exists()
         or not args.pareto_baseline.exists()
     ):
-        _write_baseline(args.baseline, SEARCH_ARGV, measured, calibration, args.repeats)
+        _write_baseline(args.baseline, SCALAR_SEARCH, measured, calibration, args.repeats)
         _write_baseline(
-            args.batch_baseline, BATCH_SEARCH_ARGV, measured_batch, calibration, args.repeats
+            args.batch_baseline, _command(SEARCH_ARGV), measured_batch, calibration,
+            args.repeats,
         )
-        _write_baseline(args.warm_baseline, SWEEP_ARGV, warm_wall, calibration, args.repeats)
         _write_baseline(
-            args.pareto_baseline, PARETO_ARGV, pareto_wall, calibration, args.repeats,
-            frontier_size=frontier_size,
+            args.warm_baseline, _command(SWEEP_ARGV), warm_wall, calibration, args.repeats
+        )
+        _write_baseline(
+            args.pareto_baseline, _command(PARETO_ARGV), pareto_wall, calibration,
+            args.repeats, frontier_size=frontier_size,
         )
         print(
             f"baselines written: scalar {measured:.3f}s, batch {measured_batch:.3f}s, "

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.config_space import DEFAULT_SEARCH_SPACE, SearchSpace
 from repro.core.execution import DEFAULT_BACKEND, DEFAULT_OPTIONS, ModelingOptions
 from repro.core.model import TransformerConfig
-from repro.core.search import DEFAULT_EVAL_MODE
 from repro.core.system import make_system
 from repro.runtime import ProgressCallback, SearchCache, SearchTask, SweepExecutor
 
@@ -55,7 +54,6 @@ def speedup_sweep(
     space: SearchSpace = DEFAULT_SEARCH_SPACE,
     options: ModelingOptions = DEFAULT_OPTIONS,
     backend: str = DEFAULT_BACKEND,
-    eval_mode: str = DEFAULT_EVAL_MODE,
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
@@ -66,6 +64,8 @@ def speedup_sweep(
     The baseline and variant searches of every grid point are all
     independent, so the whole sweep is one executor batch (and the baseline
     searches are natural cache hits for other sweeps over the same grid).
+    As in :mod:`repro.analysis.sweeps`, the runtime picks the pricer: batch
+    for the analytic backend, per candidate for ``sim``.
     """
     grid = [
         (make_system(generation, nvs), n)
@@ -83,7 +83,6 @@ def speedup_sweep(
             space=space,
             options=options,
             backend=backend,
-            eval_mode=eval_mode,
         )
         for system, n in grid
         for strat in (baseline_strategy, variant_strategy)

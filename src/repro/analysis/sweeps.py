@@ -18,7 +18,11 @@ processes), ``cache`` (a :class:`~repro.runtime.SearchCache`),
 execution regardless of ``jobs``.  Tasks are submitted ordered along the
 sweep axis, so warm starting (on by default) chains each point's winner
 into the next point's branch-and-bound seed — same optima, far fewer
-candidates evaluated (see ``docs/performance.md``).
+candidates evaluated (see ``docs/performance.md``).  The sweeps take no
+pricer argument: :func:`~repro.runtime.executor.solve_search_task` prices
+every analytic point with the vectorized batch pricer
+(:mod:`repro.core.batch_eval`, bit-exact against the scalar oracle) and a
+``backend="sim"`` point per candidate.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from repro.core.config_space import DEFAULT_SEARCH_SPACE, SearchSpace
 from repro.core.execution import DEFAULT_BACKEND, DEFAULT_OPTIONS, ModelingOptions
 from repro.core.model import TransformerConfig
-from repro.core.search import DEFAULT_EVAL_MODE, SearchResult
+from repro.core.search import SearchResult
 from repro.core.system import NVS_DOMAIN_SIZES, SystemSpec, make_system
 from repro.core.training import TrainingRegime, default_regime
 from repro.runtime import ProgressCallback, SearchCache, SearchTask, SweepExecutor
@@ -109,7 +113,6 @@ def scaling_sweep(
     space: SearchSpace = DEFAULT_SEARCH_SPACE,
     options: ModelingOptions = DEFAULT_OPTIONS,
     backend: str = DEFAULT_BACKEND,
-    eval_mode: str = DEFAULT_EVAL_MODE,
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
@@ -132,7 +135,6 @@ def scaling_sweep(
             space=space,
             options=options,
             backend=backend,
-            eval_mode=eval_mode,
         )
         for n in n_gpus_list
     ]
@@ -166,7 +168,6 @@ def system_grid_sweep(
     space: SearchSpace = DEFAULT_SEARCH_SPACE,
     options: ModelingOptions = DEFAULT_OPTIONS,
     backend: str = DEFAULT_BACKEND,
-    eval_mode: str = DEFAULT_EVAL_MODE,
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
@@ -196,7 +197,6 @@ def system_grid_sweep(
                     space=space,
                     options=options,
                     backend=backend,
-                    eval_mode=eval_mode,
                 )
                 for n in n_gpus_list
             )
@@ -256,7 +256,6 @@ def hardware_heatmap(
     space: SearchSpace = DEFAULT_SEARCH_SPACE,
     options: ModelingOptions = DEFAULT_OPTIONS,
     backend: str = DEFAULT_BACKEND,
-    eval_mode: str = DEFAULT_EVAL_MODE,
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
@@ -322,7 +321,6 @@ def hardware_heatmap(
                     space=space,
                     options=options,
                     backend=backend,
-                    eval_mode=eval_mode,
                 )
             )
 

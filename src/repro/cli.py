@@ -80,12 +80,6 @@ from repro.core.inference import (
     find_serving_config,
 )
 from repro.core.objectives import DEFAULT_PARETO_OBJECTIVES, registered_objectives
-from repro.core.search import (
-    DEFAULT_EVAL_MODE,
-    EVAL_MODES,
-    find_optimal_config,
-    find_pareto_configs,
-)
 from repro.core.schedules import (
     DEFAULT_SCHEDULE,
     available_schedules,
@@ -93,7 +87,7 @@ from repro.core.schedules import (
 )
 from repro.core.system import make_perlmutter, make_system
 from repro.core.workloads import available_workloads, get_workload, scenario_space
-from repro.runtime import SearchCache
+from repro.runtime import SearchCache, SearchTask, solve_search_task
 from repro.simulate.cluster import ClusterTopology
 from repro.simulate.ring import sweep_volumes
 from repro.utils.serialization import dump_json
@@ -155,14 +149,6 @@ def _add_common_model_args(
         choices=available_backends(),
         help="evaluation backend: 'analytic' (paper's closed forms, default) "
         "or 'sim' (message-level ring/schedule replay oracle)",
-    )
-    parser.add_argument(
-        "--eval-mode",
-        default=DEFAULT_EVAL_MODE,
-        choices=EVAL_MODES,
-        help="candidate pricing: 'scalar' (per-candidate oracle, default) or "
-        "'batch' (vectorized NumPy pricer; identical results, several times "
-        "faster; analytic backend only)",
     )
     parser.add_argument("--json", default=None, help="optional path to dump raw results as JSON")
 
@@ -315,12 +301,17 @@ def _report_cache(cache: Optional[SearchCache]) -> None:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    """Optimal-configuration search at one GPU count (``repro-perf search``)."""
+    """Optimal-configuration search at one GPU count (``repro-perf search``).
+
+    Runs through :func:`repro.runtime.solve_search_task`, which prices the
+    analytic backend with the vectorized batch pricer and ``--backend sim``
+    per candidate.
+    """
     model = _resolve_model(args)
     system = make_system(args.gpu, args.nvs)
-    result = find_optimal_config(
-        model,
-        system,
+    task = SearchTask(
+        model=model,
+        system=system,
         n_gpus=args.gpus,
         global_batch_size=args.global_batch,
         strategy=args.strategy,
@@ -328,8 +319,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         options=_scenario_options(args),
         top_k=args.top_k,
         backend=args.backend,
-        eval_mode=args.eval_mode,
     )
+    try:
+        result = solve_search_task(task)
+    except ValueError as exc:
+        print(f"repro-perf: error: {exc}", file=sys.stderr)
+        return 2
     if not result.found:
         print(f"No feasible configuration for {model.name} on {system.name} with {args.gpus} GPUs")
         return 1
@@ -396,19 +391,19 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         return 0
     model = _resolve_model(args)
     system = make_system(args.gpu, args.nvs)
+    task = SearchTask(
+        model=model,
+        system=system,
+        n_gpus=args.gpus,
+        global_batch_size=args.global_batch,
+        strategy=args.strategy,
+        space=_scenario_space(args),
+        options=_scenario_options(args),
+        backend=args.backend,
+        objectives=tuple(args.objectives),
+    )
     try:
-        result = find_pareto_configs(
-            model,
-            system,
-            n_gpus=args.gpus,
-            global_batch_size=args.global_batch,
-            objectives=tuple(args.objectives),
-            strategy=args.strategy,
-            space=_scenario_space(args),
-            options=_scenario_options(args),
-            backend=args.backend,
-            eval_mode=args.eval_mode,
-        )
+        result = solve_search_task(task)
     except ValueError as exc:
         print(f"repro-perf: error: {exc}", file=sys.stderr)
         return 2
@@ -462,7 +457,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         space=_scenario_space(args),
         options=_scenario_options(args),
         backend=args.backend,
-        eval_mode=args.eval_mode,
         jobs=args.jobs,
         cache=cache,
         warm_start=not args.no_warm_start,
@@ -488,7 +482,6 @@ def cmd_systems(args: argparse.Namespace) -> int:
         space=_scenario_space(args),
         options=_scenario_options(args),
         backend=args.backend,
-        eval_mode=args.eval_mode,
         jobs=args.jobs,
         cache=cache,
         warm_start=not args.no_warm_start,
@@ -515,7 +508,6 @@ def cmd_speedup(args: argparse.Namespace) -> int:
         space=_scenario_space(args),
         options=_scenario_options(args),
         backend=args.backend,
-        eval_mode=args.eval_mode,
         jobs=args.jobs,
         cache=cache,
         warm_start=not args.no_warm_start,
@@ -635,7 +627,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             options=_scenario_options(args),
             top_k=args.top_k,
             backend=args.backend,
-            eval_mode=args.eval_mode,
         )
     except ValueError as exc:
         print(f"repro-perf: error: {exc}", file=sys.stderr)
@@ -877,13 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_EVAL_BACKEND,
         choices=available_backends(),
         help="evaluation backend for the comm terms (analytic default)",
-    )
-    p.add_argument(
-        "--eval-mode",
-        default=DEFAULT_EVAL_MODE,
-        choices=EVAL_MODES,
-        help="accepted for symmetry with 'search' and validated ('batch' needs "
-        "the analytic backend); serving always prices per candidate",
     )
     p.add_argument("--json", default=None, help="optional path to dump raw results as JSON")
     p.set_defaults(func=cmd_serve)

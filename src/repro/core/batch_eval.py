@@ -28,7 +28,9 @@ and ``tests/test_batch_eval_properties.py`` (hypothesis properties); the
 documented tolerance is **exact equality** (``==``) on every category and
 on the total.  Only the analytic backend is supported — a simulated bubble
 has no closed form to vectorize — and :func:`validate_eval_mode` rejects
-batch mode for any other backend.
+batch mode for any other backend.  Every analytic training and Pareto
+search the runtime runs (:func:`repro.runtime.executor.solve_search_task`,
+behind the CLI, the API and the analysis sweeps) is priced here.
 
 The module also hosts :func:`non_dominated_mask`, the sort-and-sweep
 dominance filter behind the Pareto frontier archive.
@@ -78,7 +80,6 @@ from repro.core.schedules import get_schedule
 from repro.core.system import NetworkSpec, SystemSpec
 
 __all__ = [
-    "DEFAULT_EVAL_MODE",
     "EVAL_MODES",
     "BatchBreakdown",
     "CandidateRow",
@@ -90,14 +91,14 @@ __all__ = [
     "validate_eval_mode",
 ]
 
-#: Evaluation modes understood by the search (``--eval-mode``): the scalar
-#: per-candidate oracle, and the vectorized batch pricer of this module.
+#: Evaluation modes of the library search functions' ``eval_mode`` switch:
+#: the scalar per-candidate oracle, and the vectorized batch pricer of this
+#: module.
 EVAL_MODES = ("scalar", "batch")
-DEFAULT_EVAL_MODE = "scalar"
 
 
 def validate_eval_mode(eval_mode: str, backend: str = DEFAULT_BACKEND) -> str:
-    """Normalise and validate an ``--eval-mode`` value for ``backend``.
+    """Normalise and validate an ``eval_mode`` value for ``backend``.
 
     Batch mode vectorizes the analytic closed forms, so it is rejected for
     any other backend.

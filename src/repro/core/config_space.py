@@ -26,7 +26,8 @@ search tractable in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Iterator, Sequence, Tuple
 
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import (
@@ -300,41 +301,60 @@ def default_assignment(config: ParallelConfig, nvs_domain_size: int) -> GpuAssig
     return GpuAssignment(*values)
 
 
+#: Distinct ``(group sizes, NVS domain size)`` keys whose assignment list
+#: :func:`gpu_assignments` keeps.  Every search pass and every point of a
+#: sweep revisits the same group shapes: one run of the paper's sweeps
+#: (Figs. 4, 5 and A2–A6) touches about 1,200 keys.  ``clear_caches`` in
+#: :mod:`repro.core.execution` empties the memo.
+ASSIGNMENT_CACHE_SIZE = 2048
+
+
 def gpu_assignments(
     config: ParallelConfig,
     nvs_domain_size: int,
     space: SearchSpace = DEFAULT_SEARCH_SPACE,
-) -> List[GpuAssignment]:
+) -> Tuple[GpuAssignment, ...]:
     """Enumerate NVSwitch-domain assignments for ``config``.
 
     The paper decomposes the (effective) NVS domain size into
     ``nNVS1 * nNVS2 * nNVSp * nNVSd`` with each factor dividing its group.
     When the GPU count (or the group structure) cannot fill the whole domain
     we fall back to the largest product that can be formed.
+
+    The enumeration depends only on the four group sizes and the domain
+    size, so it is memoized (:data:`ASSIGNMENT_CACHE_SIZE` keys); the
+    assignments are frozen, so callers share them.
     """
     if not space.search_gpu_assignment:
-        return [default_assignment(config, nvs_domain_size)]
-
-    group_sizes = (
+        return (default_assignment(config, nvs_domain_size),)
+    return _assignments(
         config.tensor_parallel_1,
         config.tensor_parallel_2,
         config.pipeline_parallel,
         config.data_parallel,
+        nvs_domain_size,
     )
-    effective = min(nvs_domain_size, config.total_gpus)
-    targets = sorted((d for d in divisors(effective)), reverse=True)
-    for target in targets:
-        found: List[GpuAssignment] = []
-        for factors in factorizations(target, 4):
-            ok = all(
+
+
+@lru_cache(maxsize=ASSIGNMENT_CACHE_SIZE)
+def _assignments(
+    tp1: int, tp2: int, pp: int, dp: int, nvs_domain_size: int
+) -> Tuple[GpuAssignment, ...]:
+    """The assignment search of :func:`gpu_assignments` for one group shape."""
+    group_sizes = (tp1, tp2, pp, dp)
+    effective = min(nvs_domain_size, tp1 * tp2 * pp * dp)
+    for target in reversed(divisors(effective)):
+        found = tuple(
+            GpuAssignment(*factors)
+            for factors in factorizations(target, 4)
+            if all(
                 group_sizes[i] % factors[i] == 0 and factors[i] <= group_sizes[i]
                 for i in range(4)
             )
-            if ok:
-                found.append(GpuAssignment(*factors))
+        )
         if found:
             return found
-    return [GpuAssignment()]
+    return (GpuAssignment(),)
 
 
 def count_configurations(

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import config_space
 from repro.core.backends import DEFAULT_BACKEND, CostPricer, get_backend
 from repro.core.collectives import GroupPlacement
 from repro.core.memory import MemoryEstimate, estimate_memory
@@ -340,8 +341,8 @@ def clear_caches() -> None:
     """Drop every memoization this model maintains.
 
     Covers every cache in the registry (workload, stage times, and anything
-    a future change registers) *and* the factorization caches the
-    configuration enumeration leans on, so tests, sweeps and freshly
+    a future change registers) *and* the factorization and NVS-assignment
+    caches the configuration enumeration leans on, so tests, sweeps and freshly
     started worker processes all start from the same cold, bounded state
     (:class:`~repro.runtime.SweepExecutor` installs this as its pool
     initializer).
@@ -350,6 +351,7 @@ def clear_caches() -> None:
         fn.cache_clear()
     factorization.divisors.cache_clear()
     factorization.factorizations.cache_clear()
+    config_space._assignments.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -747,6 +749,15 @@ def evaluate_config(
     )
 
 
+#: Relative slack that keeps :func:`config_time_lower_bound` admissible in
+#: floating point.  The bound and the full evaluation add the same compute,
+#: memory and bubble terms in different orders, so for a configuration whose
+#: communication vanishes the bound could land an ulp *above* the evaluated
+#: time, and pruning would drop an exact tie (a Pareto frontier member).
+#: 1e-12 is orders of magnitude above the rounding of either sum.
+_BOUND_SLACK = 1.0 - 1e-12
+
+
 def config_time_lower_bound(
     model: TransformerConfig,
     system: SystemSpec,
@@ -770,7 +781,8 @@ def config_time_lower_bound(
     The bound stays admissible across schedules because each configuration's
     bound uses *its own* schedule's bubble (e.g. the interleaved bubble
     shrinks by the virtual-stage degree in both the bound and the full
-    evaluation).
+    evaluation), and in floating point because it is scaled down by
+    :data:`_BOUND_SLACK`.
     """
     stage = _cached_stage_times(
         config.strategy,
@@ -794,7 +806,7 @@ def config_time_lower_bound(
     bubble = get_schedule(config.schedule).bubble_time(
         config.pipeline_parallel, m, tf, tb, config.virtual_stages
     )
-    return m * (tf + tb) + bubble
+    return (m * (tf + tb) + bubble) * _BOUND_SLACK
 
 
 def config_compute_profile(

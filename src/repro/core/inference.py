@@ -976,7 +976,6 @@ def find_serving_config(
     options: ModelingOptions = DEFAULT_OPTIONS,
     top_k: int = 0,
     backend: str = DEFAULT_BACKEND,
-    eval_mode: str = "scalar",
     warm_hints: Sequence = (),
 ) -> ServingSearchResult:
     """Search the EP/TP/PP/DP space for the best serving configuration.
@@ -995,10 +994,10 @@ def find_serving_config(
     terms.  Infeasible candidates (KV capacity, prefill saturation,
     arrival-rate overload, SLO targets) never win.
 
-    ``eval_mode`` is validated like the training search's (an unknown mode,
-    or ``"batch"`` with a non-analytic backend, raises ``ValueError``) but
-    selects nothing: the serving search always prices per candidate, since
-    its cost is the scalar decode fixed point, which does not vectorize.
+    The serving search always prices per candidate: its cost is the scalar
+    decode fixed point, which does not vectorize.  ``top_k`` is the size of
+    the returned leaderboard (0: the winner only); a negative value raises
+    ``ValueError``.
 
     ``warm_hints`` seeds the branch-and-bound exactly like the training
     search (:func:`repro.core.search.find_optimal_config`): hints — usually
@@ -1008,11 +1007,8 @@ def find_serving_config(
     opens the pruning threshold.  The selected optimum and top-k set are
     bit-identical to a cold search.
     """
-    # Local import: batch_eval shares this module's core dependencies but
-    # must not be imported at module load (keeps numpy off the scalar path).
-    from repro.core import batch_eval
-
-    batch_eval.validate_eval_mode(eval_mode, backend)
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     if objective not in SERVING_OBJECTIVES:
         raise ValueError(
             f"unknown serving objective {objective!r}; expected one of {SERVING_OBJECTIVES}"

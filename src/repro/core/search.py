@@ -57,11 +57,6 @@ from repro.core.system import SystemSpec
 #: Strategies searched when the caller asks for "all".
 ALL_STRATEGIES = ("tp1d", "tp2d", "summa")
 
-#: Re-exported evaluation modes (see :mod:`repro.core.batch_eval`): the
-#: per-candidate scalar oracle (default) and the vectorized batch pricer.
-DEFAULT_EVAL_MODE = "scalar"
-EVAL_MODES = ("scalar", "batch")
-
 #: Parallelizations priced per vectorized block in batch mode.  Large enough
 #: to amortize the NumPy dispatch, small enough that the incumbent (and the
 #: branch-and-bound threshold derived from it) refreshes frequently.
@@ -712,7 +707,7 @@ def find_optimal_config(
     backend: str = DEFAULT_BACKEND,
     objective: str = TRAINING_OBJECTIVE,
     serving=None,
-    eval_mode: str = DEFAULT_EVAL_MODE,
+    eval_mode: str = "scalar",
     warm_hints: Sequence = (),
 ):
     """Brute-force search for the fastest feasible configuration.
@@ -731,14 +726,23 @@ def find_optimal_config(
     branch-and-bound pruning is disabled, since the analytic lower bound is
     only provably admissible for the analytic evaluation.
 
-    ``eval_mode`` selects how candidates are priced.  ``"scalar"`` (the
-    default) calls :func:`~repro.core.execution.evaluate_config` once per
-    candidate; ``"batch"`` prices memory-filtered survivors in vectorized
-    NumPy chunks (:mod:`repro.core.batch_eval`) — the selected optimum and
-    top-k set are identical (the batch pricer is bit-exact against the
-    scalar oracle, and the winners are re-priced through it), but searches
-    run several times faster.  Batch mode is analytic-only: combining it
-    with a non-default ``backend`` raises :class:`ValueError`.
+    ``eval_mode`` is the library switch between the two training pricers.
+    ``"scalar"`` (the default) calls
+    :func:`~repro.core.execution.evaluate_config` once per candidate;
+    ``"batch"`` prices memory-filtered survivors in vectorized NumPy chunks
+    (:mod:`repro.core.batch_eval`) — the selected optimum and top-k set are
+    identical (the batch pricer is bit-exact against the scalar oracle, and
+    the winners are re-priced through it), but searches run several times
+    faster.  Batch mode is analytic-only: combining it with a non-default
+    ``backend`` raises :class:`ValueError`.  The runtime does not expose
+    the switch: :func:`repro.runtime.executor.solve_search_task` (and with
+    it the CLI, the API and the analysis sweeps) picks batch for the
+    analytic backend and scalar otherwise; the scalar default serves the
+    parity suites.  The serving objectives validate ``eval_mode`` but
+    ignore it: serving always prices per candidate.
+
+    ``top_k`` is the size of the returned leaderboard (0: the winner only);
+    a negative value raises :class:`ValueError`.
 
     ``objective`` selects the execution regime.  The default
     (:data:`TRAINING_OBJECTIVE`) minimises the training iteration time and
@@ -770,9 +774,11 @@ def find_optimal_config(
     which is how capacity-limited systems (e.g. A100 + the long-sequence ViT)
     are handled in practice.
     """
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
     # Local import: batch_eval sits on top of execution/config_space, which
-    # this module also imports; resolving it lazily keeps startup costs off
-    # the scalar path and avoids fragile import ordering.
+    # this module also imports; resolving it lazily keeps NumPy off the
+    # import path and avoids fragile import ordering.
     from repro.core import batch_eval
 
     eval_mode = batch_eval.validate_eval_mode(eval_mode, backend)
@@ -791,7 +797,6 @@ def find_optimal_config(
             options=options,
             top_k=top_k,
             backend=backend,
-            eval_mode=eval_mode,
             warm_hints=warm_hints,
         )
     strategies = resolve_strategies(strategy)
@@ -1013,7 +1018,7 @@ def find_pareto_configs(
     options: ModelingOptions = DEFAULT_OPTIONS,
     fallback_activation_checkpointing: bool = True,
     backend: str = DEFAULT_BACKEND,
-    eval_mode: str = DEFAULT_EVAL_MODE,
+    eval_mode: str = "scalar",
 ) -> ParetoResult:
     """Multi-objective search: the Pareto frontier of the candidate space.
 
@@ -1046,7 +1051,11 @@ def find_pareto_configs(
     batch pricer; the frontier is bit-identical to scalar mode (the batch
     times are bit-exact, the metric vectors use the same float arithmetic,
     and batch-mode frontier members are re-priced through the scalar
-    oracle).  Batch mode is analytic-only.
+    oracle).  Batch mode is analytic-only.  As in
+    :func:`find_optimal_config`, ``eval_mode`` is a library switch that
+    defaults to the scalar oracle; the runtime
+    (:func:`repro.runtime.executor.solve_search_task`) always asks for
+    batch under the analytic backend.
     """
     from repro.core import batch_eval
     from repro.core.objectives import (

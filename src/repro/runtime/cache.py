@@ -15,7 +15,7 @@ the cache instead of returning a stale result.
 
 In memory an entry is the result object itself, shared by every hit.  On
 disk the cache is an append-only JSON-lines journal: a
-``{"version": 9}`` header, then one compact line per entry
+``{"version": 10}`` header, then one compact line per entry
 (``{"entry": fp, "result": ...}``) or hint record
 (``{"hint": key, "record": ...}``).  A save appends only the records put
 since the previous save, so its cost is O(new records) however large the
@@ -77,7 +77,10 @@ from repro.utils.serialization import (
 #: v9: the file is an append-only JSON-lines journal (a version header, then
 #: one entry or hint record per line) instead of one JSON document rewritten
 #: on every save.  A v8 file is ignored and replaced by the first save.
-CACHE_FORMAT_VERSION = 9
+#: v10: the fingerprint drops ``eval_mode``.  The runtime picks the pricer
+#: from the backend (batch for the analytic one), so a task no longer names
+#: one.  A v9 journal loads empty and is replaced by the first save.
+CACHE_FORMAT_VERSION = 10
 
 #: First line of every journal; a file that does not start with it is
 #: another format (or garbage) and loads as empty.
@@ -99,9 +102,8 @@ def reduced_fingerprint(task: "SearchTask") -> str:  # noqa: F821 (doc reference
     one reduced key are therefore exactly the candidates worth re-evaluating
     first at any other point of the same structure (warm starting).
 
-    ``eval_mode`` and ``top_k`` are also dropped: neither changes which
-    configuration wins, so a scalar solve may warm-start a batch one and
-    vice versa.
+    ``top_k`` is also dropped: it does not change which configuration
+    wins.
     """
     serving = to_jsonable(getattr(task, "serving", None))
     if isinstance(serving, dict):
@@ -218,7 +220,6 @@ class SearchCache:
                 "backend": task.backend,
                 "objective": getattr(task, "objective", TRAINING_OBJECTIVE),
                 "serving": to_jsonable(getattr(task, "serving", None)),
-                "eval_mode": getattr(task, "eval_mode", "scalar"),
                 "objectives": list(getattr(task, "objectives", ()) or ()),
             }
         )
@@ -248,7 +249,7 @@ class SearchCache:
     # ------------------------------------------------------------------
     # Read/write
     # ------------------------------------------------------------------
-    def get(self, task):
+    def get(self, task, *, fingerprint: Optional[str] = None):
         """Return the cached result for ``task``, or ``None`` on a miss.
 
         Training tasks yield a :class:`~repro.core.search.SearchResult`,
@@ -257,8 +258,11 @@ class SearchCache:
         :meth:`_result_type`).  A hit returns the stored object itself: an
         entry replayed from the journal is decoded on its first hit and
         the decoded tree replaces its JSON form, so later hits share it.
+
+        ``fingerprint`` is ``task``'s :meth:`fingerprint` when the caller
+        already holds it; it is computed here otherwise.
         """
-        fp = self.fingerprint(task)
+        fp = fingerprint if fingerprint is not None else self.fingerprint(task)
         with self._lock:
             entry = self._entries.get(fp)
             if isinstance(entry, dict):
@@ -277,7 +281,7 @@ class SearchCache:
             self.misses += 1
             return None
 
-    def put(self, task, result: SearchResult) -> None:
+    def put(self, task, result: SearchResult, *, fingerprint: Optional[str] = None) -> None:
         """Store ``result`` itself under ``task``'s fingerprint.
 
         Nothing is serialized here: a cache with a path queues the record
@@ -285,9 +289,10 @@ class SearchCache:
         The winner (when one exists) is additionally recorded in the
         structure-keyed hint index, so later tasks of the same structure at
         *different* points can warm-start from it (:meth:`warm_hints`).
+        ``fingerprint`` is as in :meth:`get`.
         """
+        fp = fingerprint if fingerprint is not None else self.fingerprint(task)
         with self._lock:
-            fp = self.fingerprint(task)
             self._entries[fp] = result
             if self.path is not None:
                 self._unsaved.append(("entry", fp, result))
@@ -405,7 +410,7 @@ class SearchCache:
         Instead of appending, the file is *compacted* — the header and
         every live record written to a pid-suffixed temp file, then
         ``os.replace``\\ d over the journal — when it is missing, does not
-        start with the v9 header, holds a torn (a writer killed
+        start with the current version header, holds a torn (a writer killed
         mid-append) or malformed line, or would hold more than twice as
         many record lines as live records.  So a new record is never
         appended onto a torn fragment, an interrupted compaction never

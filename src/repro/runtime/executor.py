@@ -42,7 +42,6 @@ from repro.core.inference import ServingSpec
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import (
-    DEFAULT_EVAL_MODE,
     MAX_WARM_HINTS,
     TRAINING_OBJECTIVE,
     SearchResult,
@@ -62,7 +61,8 @@ class SearchTask:
     """One self-contained :func:`find_optimal_config` invocation.
 
     The task carries *values*, not references to shared state, so it can be
-    pickled to a worker process and fingerprinted by the cache.
+    pickled to a worker process and fingerprinted by the cache.  It names
+    no pricer: :func:`solve_search_task` picks one from ``backend``.
     """
 
     model: TransformerConfig
@@ -89,10 +89,6 @@ class SearchTask:
     #: *is* part of equality and of the cache fingerprint — a Pareto solve
     #: and a scalar solve of the same point are different computations.
     objectives: Tuple[str, ...] = ()
-    #: Candidate pricing mode (see :mod:`repro.core.batch_eval`): the scalar
-    #: per-candidate oracle, or the vectorized ``"batch"`` pricer (identical
-    #: results, several times faster; analytic backend only).
-    eval_mode: str = DEFAULT_EVAL_MODE
     #: Warm-start hints: winner configs of neighboring points, evaluated
     #: first to seed the branch-and-bound threshold (see
     #: :func:`repro.core.search.find_optimal_config`).  Hints provably never
@@ -116,9 +112,20 @@ class SearchTask:
 #: Relative per-candidate cost of the vectorized batch pricer versus the
 #: scalar oracle.  Batch mode prices ~5x faster per candidate (see
 #: ``scripts/perf_guard.py``'s measured floor of 3x and ``BENCH_search.json``),
-#: so a batch task of equal candidate count is a much *shorter* job — LPT
-#: dispatch must know that or it misorders mixed-mode task lists.
+#: so an analytic training task is a much *shorter* job than a ``sim`` or
+#: serving task of equal candidate count — LPT dispatch must know that or
+#: it misorders mixed task lists.
 _BATCH_MODE_COST_FACTOR = 0.2
+
+
+def _eval_mode(task: SearchTask) -> str:
+    """The pricer of ``task``'s training or Pareto search.
+
+    The vectorized batch pricer is bit-exact against the scalar oracle but
+    only for the analytic closed forms, so the analytic backend gets batch
+    and any other backend prices per candidate.
+    """
+    return "batch" if task.backend == DEFAULT_BACKEND else "scalar"
 
 
 def _serving_task_candidates(task: SearchTask) -> int:
@@ -158,9 +165,11 @@ def estimate_task_cost(task: SearchTask) -> float:
     task's strategies; for serving-objective tasks the post-filter tp1d
     serving enumeration (:func:`_serving_task_candidates`) — the training
     count would overstate serving work by the collapsed microbatch/schedule
-    axes.  The count is then scaled by the evaluation mode's per-candidate
-    cost (:data:`_BATCH_MODE_COST_FACTOR`): a batch-mode search of the same
-    space finishes ~5x sooner than a scalar one.  Used by
+    axes.  The count of an analytic training or Pareto task is then scaled
+    by the batch pricer's per-candidate cost
+    (:data:`_BATCH_MODE_COST_FACTOR`): :func:`solve_search_task` prices it
+    in vectorized chunks, ~5x sooner than the per-candidate pricing of a
+    ``sim`` or serving task of the same size.  Used by
     :meth:`SweepExecutor.run` to dispatch the longest searches first
     (longest-processing-time order), so one huge GPU-count point submitted
     last no longer serializes the tail of a sweep.  Falls back to the GPU
@@ -168,7 +177,8 @@ def estimate_task_cost(task: SearchTask) -> float:
     itself rejects (the solver will surface the real error).
     """
     counted = fallback = 0
-    if task.objective != TRAINING_OBJECTIVE and not task.objectives:
+    serving = task.objective != TRAINING_OBJECTIVE and not task.objectives
+    if serving:
         try:
             counted = _serving_task_candidates(task)
         except (ValueError, KeyError):
@@ -191,7 +201,7 @@ def estimate_task_cost(task: SearchTask) -> float:
                 counted += n_candidates
             except (ValueError, KeyError):
                 fallback += task.n_gpus
-    if task.eval_mode == "batch":
+    if not serving and _eval_mode(task) == "batch":
         return float(counted) * _BATCH_MODE_COST_FACTOR + fallback
     return float(counted + fallback)
 
@@ -204,6 +214,12 @@ def solve_search_task(task: SearchTask):
     tasks, a :class:`~repro.core.inference.ServingSearchResult` for
     serving-objective tasks and a :class:`~repro.core.search.ParetoResult`
     for tasks with a non-empty ``objectives`` tuple.
+
+    This is the one place the pricer is chosen: training and Pareto tasks
+    on the analytic backend are priced by the vectorized
+    :mod:`repro.core.batch_eval`, any other backend per candidate (the
+    serving search always prices per candidate).  The answers are
+    bit-identical either way; only the speed differs.
     """
     if task.objectives:
         return find_pareto_configs(
@@ -216,7 +232,7 @@ def solve_search_task(task: SearchTask):
             space=task.space,
             options=task.options,
             backend=task.backend,
-            eval_mode=task.eval_mode,
+            eval_mode=_eval_mode(task),
         )
     return find_optimal_config(
         task.model,
@@ -230,7 +246,7 @@ def solve_search_task(task: SearchTask):
         backend=task.backend,
         objective=task.objective,
         serving=task.serving,
-        eval_mode=task.eval_mode,
+        eval_mode=_eval_mode(task),
         warm_hints=task.warm_hints,
     )
 
@@ -519,9 +535,15 @@ class SweepExecutor:
 
         hint_board: Dict[str, List[ParallelConfig]] = {}
         pending: Dict[SearchTask, List[int]] = {}
+        # One cache fingerprint per distinct task, shared by get and put.
+        fingerprints: Dict[SearchTask, str] = {}
         done = 0
         for idx, task in enumerate(tasks):
-            hit = self.cache.get(task) if self.cache is not None else None
+            hit = None
+            if self.cache is not None:
+                if task not in fingerprints:
+                    fingerprints[task] = self.cache.fingerprint(task)
+                hit = self.cache.get(task, fingerprint=fingerprints[task])
             if hit is not None:
                 results[idx] = hit
                 if warm_start:
@@ -585,7 +607,7 @@ class SweepExecutor:
                 done += 1
                 self._report(done, total, report)
             if self.cache is not None:
-                self.cache.put(task, result)
+                self.cache.put(task, result, fingerprint=fingerprints[task])
         if self.cache is not None:
             self.cache.save()
         return results  # type: ignore[return-value]

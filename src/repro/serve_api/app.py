@@ -149,18 +149,19 @@ class PlannerApp:
         owned: Dict[str, Future] = {}
         owned_order: List[str] = []
         owned_tasks: List[SearchTask] = []
-        attached: List[Tuple[int, Future]] = []
+        attached: List[Tuple[str, Future]] = []
         positions: Dict[str, List[int]] = {}
         done = 0
 
         with self._lock:
             self._counters["requests"] += 1
             for idx, task in enumerate(tasks):
+                # The one fingerprint of this task: get and put reuse it.
                 fp = SearchCache.fingerprint(task)
                 if fp in positions:  # duplicate within this batch
                     positions[fp].append(idx)
                     continue
-                hit = self.cache.get(task)
+                hit = self.cache.get(task, fingerprint=fp)
                 if hit is not None:
                     results[idx] = hit
                     done += 1
@@ -169,7 +170,7 @@ class PlannerApp:
                 fut = self._inflight.get(fp)
                 if fut is not None:
                     self._counters["dedup_hits"] += 1
-                    attached.append((idx, fut))
+                    attached.append((fp, fut))
                 else:
                     fut = Future()
                     self._inflight[fp] = fut
@@ -205,7 +206,7 @@ class PlannerApp:
                     with self._lock:
                         self._counters["engine_solves"] += 1
                         if status == "ok":
-                            self.cache.put(task, value)
+                            self.cache.put(task, value, fingerprint=fp)
                             dirty = True
                             stats = getattr(value, "statistics", None)
                             self._counters["warm_start_hits"] += getattr(
@@ -245,14 +246,14 @@ class PlannerApp:
                 done += 1
                 if progress is not None:
                     progress(done, total)
-        for idx, fut in attached:
+        for fp, fut in attached:
             exc = fut.exception()  # waits for the owner
             if exc is not None:
                 raise exc if isinstance(exc, ApiError) else ApiError(str(exc), status=500)
-            for pos in positions[SearchCache.fingerprint(tasks[idx])]:
+            for pos in positions[fp]:
                 results[pos] = fut.result()
                 sources[pos] = "dedup"
-            for _ in positions[SearchCache.fingerprint(tasks[idx])]:
+            for _ in positions[fp]:
                 done += 1
                 if progress is not None:
                     progress(done, total)

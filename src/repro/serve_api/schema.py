@@ -27,7 +27,7 @@ from repro.core.execution import DEFAULT_OPTIONS, ModelingOptions, evaluate_conf
 from repro.core.inference import SERVING_OBJECTIVES, ServingSpec
 from repro.core.objectives import DEFAULT_PARETO_OBJECTIVES, resolve_objectives
 from repro.core.parallelism.base import GpuAssignment, ParallelConfig
-from repro.core.search import ALL_STRATEGIES, DEFAULT_EVAL_MODE, EVAL_MODES
+from repro.core.search import ALL_STRATEGIES
 from repro.core.system import SystemSpec, make_system
 from repro.core.workloads import available_workloads, get_workload, scenario_space
 from repro.runtime.executor import SearchTask
@@ -184,11 +184,17 @@ def _resolve_strategy(payload: Mapping[str, Any]):
 
 
 def _common_task_fields(payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Backend / eval-mode fields shared by every solve request."""
+    """Backend / top-k fields shared by every solve request.
+
+    No field picks the pricer: the runtime chooses it from ``backend``, so
+    an ``eval_mode`` key, like any other unknown key, is ignored.
+    """
+    top_k = _get(payload, "top_k", int, 0)
+    if top_k < 0:
+        raise ApiError(f"field 'top_k' must be >= 0, got {top_k}")
     return {
         "backend": _get_choice(payload, "backend", available_backends(), "analytic"),
-        "eval_mode": _get_choice(payload, "eval_mode", EVAL_MODES, DEFAULT_EVAL_MODE),
-        "top_k": _get(payload, "top_k", int, 0),
+        "top_k": top_k,
     }
 
 

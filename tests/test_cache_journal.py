@@ -1,6 +1,6 @@
 """The search cache's on-disk journal: appends, shared hits, torn tails, compaction.
 
-The file is a ``{"version": 9}`` header followed by one JSON record per
+The file is a ``{"version": 10}`` header followed by one JSON record per
 line; a save appends only what was put since the previous one, and the
 file is rewritten (compacted) only when it is missing, foreign, torn or
 mostly duplicates.
@@ -152,6 +152,24 @@ def test_v8_file_loads_empty_and_is_replaced(tmp_path):
     lines = _lines(path)
     assert lines[0] == {"version": CACHE_FORMAT_VERSION}
     assert [r["entry"] for r in lines[1:]] == [SearchCache.fingerprint(task)]
+    assert SearchCache(path).get(task) == _stub_result(task)
+
+
+def test_v9_journal_loads_empty_and_is_replaced(tmp_path):
+    """A v9 journal keyed its entries by a fingerprint that named a pricer."""
+    path = tmp_path / "cache.json"
+    task = _task()
+    stale = {"entry": SearchCache.fingerprint(task), "result": {"stale": True}}
+    path.write_text(json.dumps({"version": 9}) + "\n" + json.dumps(stale) + "\n")
+    cache = SearchCache(path)
+    assert len(cache) == 0
+    assert cache.get(task) is None
+    cache.put(task, _stub_result(task))
+    cache.save()
+    lines = _lines(path)
+    assert lines[0] == {"version": CACHE_FORMAT_VERSION} == {"version": 10}
+    assert [r["entry"] for r in lines[1:] if "entry" in r] == [SearchCache.fingerprint(task)]
+    assert all(r.get("result") != {"stale": True} for r in lines[1:])
     assert SearchCache(path).get(task) == _stub_result(task)
 
 

@@ -37,6 +37,21 @@ class TestSearchCommand:
         assert rc == 0
         assert "config" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--model", "gpt3-175b", "--gpus", "64", "--global-batch", "64"],
+            ["serve", "--gpus", "8"],
+        ],
+        ids=["search", "serve"],
+    )
+    def test_negative_top_k_is_a_one_line_error(self, argv, capsys):
+        rc = main(argv + ["--top-k", "-2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.splitlines() == ["repro-perf: error: top_k must be >= 0, got -2"]
+        assert "Traceback" not in captured.err + captured.out
+
     def test_json_dump(self, tmp_path, capsys):
         path = tmp_path / "result.json"
         rc = main(["search", "--model", "gpt3-1t", "--gpus", "256", "--json", str(path)])
@@ -57,7 +72,7 @@ class TestParetoCommand:
     def test_frontier_table(self, capsys):
         rc = main([
             "pareto", "--model", "gpt3-175b", "--gpus", "64",
-            "--global-batch", "64", "--eval-mode", "batch",
+            "--global-batch", "64",
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -70,7 +85,7 @@ class TestParetoCommand:
         rc = main([
             "pareto", "--model", "gpt3-175b", "--gpus", "64",
             "--global-batch", "64", "--objectives", "time,cost",
-            "--eval-mode", "batch", "--json", str(path),
+            "--json", str(path),
         ])
         assert rc == 0
         data = json.loads(path.read_text())

@@ -1,9 +1,11 @@
 """Configuration-space enumeration (stage S3 candidate generation)."""
 
+import itertools
 import math
 
 import pytest
 
+from repro.core import config_space
 from repro.core.config_space import (
     SearchSpace,
     count_configurations,
@@ -12,8 +14,9 @@ from repro.core.config_space import (
     microbatch_candidates,
     parallel_configs,
 )
+from repro.core.execution import clear_caches
 from repro.core.model import GPT3_1T, VIT_LONG_SEQ
-from repro.core.parallelism.base import ParallelConfig
+from repro.core.parallelism.base import GpuAssignment, ParallelConfig
 
 
 class TestMicrobatchCandidates:
@@ -107,6 +110,43 @@ class TestGpuAssignments:
         space = SearchSpace(search_gpu_assignment=False)
         assignments = gpu_assignments(config, 8, space)
         assert len(assignments) == 1
+
+    def test_memoized_result_equals_brute_force_enumeration(self):
+        """The memo returns exactly what a fresh walk of the definition does:
+        the largest domain share ``t <= min(nvs, GPUs)`` that some per-group
+        factorization fills, each factor dividing its group, in
+        lexicographic order."""
+
+        def brute_force(sizes, nvs):
+            effective = min(nvs, math.prod(sizes))
+            for target in range(effective, 0, -1):
+                if effective % target:
+                    continue
+                found = [
+                    GpuAssignment(*factors)
+                    for factors in itertools.product(
+                        *([d for d in range(1, size + 1) if size % d == 0] for size in sizes)
+                    )
+                    if math.prod(factors) == target
+                ]
+                if found:
+                    return found
+            return [GpuAssignment()]
+
+        shapes = list(itertools.product((1, 2, 4, 8), (1, 2), (1, 2, 16), (1, 4, 32)))
+        clear_caches()
+        for nvs in (1, 2, 4, 6, 8, 64):
+            for tp1, tp2, pp, dp in shapes:
+                config = _config(tp1, tp2, pp, dp, "tp2d" if tp2 > 1 else "tp1d")
+                expected = brute_force((tp1, tp2, pp, dp), nvs)
+                assert list(gpu_assignments(config, nvs)) == expected, (config, nvs)
+                # The second call is a hit and returns the same immutable tuple.
+                again = gpu_assignments(config, nvs)
+                assert isinstance(again, tuple) and list(again) == expected
+        info = config_space._assignments.cache_info()
+        assert info.hits >= info.misses > 0
+        clear_caches()
+        assert config_space._assignments.cache_info().currsize == 0
 
     def test_default_assignment_prefers_tensor_parallel(self):
         config = _config(n1=8, np_=8, nd=4)

@@ -14,8 +14,8 @@ from repro.core.execution import (
     estimate_config_memory,
     evaluate_config,
 )
-from repro.core.model import GPT3_1T, VIT_LONG_SEQ
-from repro.core.search import SearchStatistics, find_optimal_config
+from repro.core.model import GPT3_1T, VIT_LONG_SEQ, TransformerConfig
+from repro.core.search import SearchStatistics, adapt_warm_hints, find_optimal_config
 from repro.core.system import make_system
 from repro.runtime import SearchCache, SearchTask, SweepExecutor, solve_search_task
 from repro.runtime.executor import estimate_task_cost
@@ -25,6 +25,11 @@ from repro.utils.serialization import dataclass_from_jsonable, to_jsonable
 @pytest.fixture(scope="module")
 def b200():
     return make_system("B200", 8)
+
+
+TINY_DENSE = TransformerConfig(
+    name="tiny-dense", seq_len=1024, embed_dim=2048, num_heads=16, depth=16
+)
 
 
 def _task(system, n_gpus, **overrides):
@@ -182,7 +187,7 @@ class TestSearchCache:
             _task(b200, 256, strategy="tp2d"),
             _task(b200, 256, top_k=3),
             _task(b200, 256, space=SearchSpace(max_tensor_parallel=4)),
-            _task(b200, 256, eval_mode="batch"),
+            _task(b200, 256, backend="sim"),
             _task(make_system("B200", 64), 256),
             _task(make_system("H200", 8), 256),
             dataclasses.replace(base, model=VIT_LONG_SEQ),
@@ -361,6 +366,23 @@ class TestSearchCache:
         for n in distinct:
             assert merged.get(_task(b200, n)) == _stub_result(_task(b200, n))
 
+    def test_executor_fingerprints_each_task_once(self, b200, monkeypatch):
+        """``run`` hands the fingerprint it computed for ``get`` on to ``put``."""
+        original = SearchCache.fingerprint
+        calls = []
+
+        def counting(task):
+            calls.append(task)
+            return original(task)
+
+        monkeypatch.setattr(SearchCache, "fingerprint", staticmethod(counting))
+        cache = SearchCache()
+        tasks = [_task(b200, n) for n in (128, 256)]
+        SweepExecutor(1, cache=cache).run(tasks)  # two misses, two puts
+        assert len(calls) == 2
+        SweepExecutor(1, cache=cache).run(tasks)  # two hits
+        assert len(calls) == 4
+
     def test_executor_uses_cache(self, b200):
         cache = SearchCache()
         tasks = [_task(b200, n) for n in (128, 256)]
@@ -442,8 +464,8 @@ class TestPruning:
 
 
 class TestBatchEvalExecutor:
-    """eval_mode="batch" through the runtime: statistics merging and
-    parallel-vs-serial result identity."""
+    """The runtime's batch pricer (every analytic training task): statistics
+    merging and parallel-vs-serial result identity."""
 
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(SearchStatistics)]
@@ -458,8 +480,8 @@ class TestBatchEvalExecutor:
         assert getattr(a.merged(b), name) == 2 * getattr(a, name) + 7
 
     def test_batch_task_selects_the_scalar_optimum(self, b200):
-        scalar = solve_search_task(_task(b200, 512))
-        batch = solve_search_task(_task(b200, 512, eval_mode="batch"))
+        scalar = find_optimal_config(GPT3_1T, b200, 512, 4096, strategy="tp1d")
+        batch = solve_search_task(_task(b200, 512))
         assert batch.best.config == scalar.best.config
         assert batch.best.assignment == scalar.best.assignment
         assert batch.best.breakdown == scalar.best.breakdown
@@ -468,7 +490,7 @@ class TestBatchEvalExecutor:
         """Fanned-out batch searches select the serial optima (the work
         counters may differ: serial chains warm hints point to point)."""
         tasks = [
-            _task(b200, n, eval_mode="batch", strategy="all") for n in (512, 1024)
+            _task(b200, n, strategy="all") for n in (512, 1024)
         ]
         serial = SweepExecutor(jobs=1).run(tasks)
         parallel = SweepExecutor(jobs=2).run(tasks)
@@ -477,3 +499,57 @@ class TestBatchEvalExecutor:
             assert p.best.assignment == s.best.assignment
             assert p.best.breakdown == s.best.breakdown
             assert p.top_k == s.top_k
+
+
+class TestRuntimePricerChoice:
+    """``solve_search_task`` picks the pricer from the backend: the batch
+    pricer for analytic training and Pareto tasks (the scalar oracle only
+    re-prices winners and warm seeds), per-candidate pricing for ``sim``."""
+
+    @staticmethod
+    def _scalar_prices(monkeypatch):
+        """Configs of every scalar-oracle call the training search makes."""
+        from repro.core import search
+
+        calls = []
+        original = search.evaluate_config
+
+        def counting(model, system, config, *args, **kwargs):
+            calls.append(config)
+            return original(model, system, config, *args, **kwargs)
+
+        monkeypatch.setattr(search, "evaluate_config", counting)
+        return calls
+
+    def test_analytic_task_prices_only_winner_and_warm_seeds(self, b200, monkeypatch):
+        calls = self._scalar_prices(monkeypatch)
+        cold = solve_search_task(_task(b200, 512))
+        assert cold.statistics.candidates_evaluated > 100
+        assert calls == [cold.best.config]
+
+        calls.clear()
+        hints = (cold.best.config,)
+        warm = solve_search_task(_task(b200, 1024, warm_hints=hints))
+        seeds = adapt_warm_hints(GPT3_1T, 1024, 4096, "tp1d", SearchSpace(), hints)
+        seeded = sum(len(gpu_assignments(c, b200.nvs_domain_size)) for c in seeds)
+        assert seeded > 0 and warm.statistics.warm_start_hits > 0
+        assert len(calls) == seeded + 1
+        assert warm == find_optimal_config(GPT3_1T, b200, 1024, 4096, strategy="tp1d")
+
+    def test_analytic_pareto_task_reprices_only_the_frontier(self, b200, monkeypatch):
+        calls = self._scalar_prices(monkeypatch)
+        result = solve_search_task(_task(b200, 256, objectives=("time", "cost")))
+        assert result.found
+        assert len(calls) == len(result.points)
+        assert len(calls) < result.statistics.candidates_evaluated
+
+    def test_sim_task_prices_every_candidate(self, monkeypatch):
+        calls = self._scalar_prices(monkeypatch)
+        result = solve_search_task(
+            SearchTask(
+                model=TINY_DENSE, system=make_system("B200", 8), n_gpus=16,
+                global_batch_size=64, backend="sim",
+            )
+        )
+        assert result.found
+        assert len(calls) == result.statistics.candidates_evaluated > 0

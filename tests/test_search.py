@@ -78,6 +78,11 @@ class TestFindOptimalConfig:
         )
         assert combined.strategy == "tp1d+tp2d"
 
+    @pytest.mark.parametrize("objective", ["iteration", "throughput"])
+    def test_negative_top_k_rejected(self, b200, objective):
+        with pytest.raises(ValueError, match="top_k must be >= 0"):
+            find_optimal_config(GPT3_1T, b200, 256, 4096, top_k=-1, objective=objective)
+
     def test_empty_strategy_list_rejected(self, b200):
         with pytest.raises(ValueError):
             find_optimal_config(

@@ -117,6 +117,7 @@ class TestSchema:
             ({"gpus": 8, "zero_stage": 7}, "must be 0..3"),
             ({"gpus": 8, "backend": "quantum"}, "field 'backend'"),
             ({"gpus": 8, "schedule": "bogus"}, "unknown schedule"),
+            ({"gpus": 8, "top_k": -3}, "field 'top_k' must be >= 0"),
         ],
     )
     def test_search_request_rejects(self, payload, fragment):
@@ -232,6 +233,48 @@ class TestSchema:
 # App: warm cache, in-flight dedup, streaming
 # ----------------------------------------------------------------------
 class TestPlannerApp:
+    def test_negative_top_k_is_a_400_before_any_solve(self):
+        app = PlannerApp(solver=lambda task: _fake_result(task))
+        for path in (app.search, app.serve):
+            with pytest.raises(ApiError, match="'top_k'") as excinfo:
+                path({"gpus": 8, "top_k": -3})
+            assert excinfo.value.status == 400
+        status = app.status()
+        assert status["engine_solves"] == 0
+        assert status["cache"]["entries"] == 0
+
+    def test_one_fingerprint_per_search_request(self, monkeypatch):
+        """A miss fingerprints its task once (not for get, put and dedup
+        separately), and a hit once."""
+        from repro.runtime.cache import SearchCache
+
+        original = SearchCache.fingerprint
+        calls = []
+
+        def counting(task):
+            calls.append(task)
+            return original(task)
+
+        monkeypatch.setattr(SearchCache, "fingerprint", staticmethod(counting))
+        app = PlannerApp(solver=lambda task: _fake_result(task))
+        body = {"workload": "gpt3-175b", "gpus": 64, "global_batch": 64}
+        assert app.search(body)["source"] == "solved"
+        assert len(calls) == 1
+        assert app.search(body)["source"] == "cache"
+        assert len(calls) == 2
+
+    def test_eval_mode_key_is_ignored_and_shares_one_solve(self):
+        """The runtime picks the pricer, so bodies that differ only in an
+        ``eval_mode`` key are one search: one engine solve, then a hit."""
+        app = PlannerApp()
+        body = {"workload": "gpt3-175b", "gpus": 64, "global_batch": 64}
+        first = app.search({**body, "eval_mode": "scalar"})
+        second = app.search({**body, "eval_mode": "batch"})
+        assert (first["source"], second["source"]) == ("solved", "cache")
+        assert second["summary"] == first["summary"]
+        assert app.status()["engine_solves"] == 1
+        app.close()
+
     def test_second_identical_request_hits_warm_cache(self):
         solves = []
 

@@ -1,6 +1,10 @@
 """Serving search: objectives, branch-and-bound invariants, presets, cache."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,10 @@ class TestServingSearch:
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError, match="objective"):
             find_serving_config(TINY, SYSTEM, 16, serving=SPEC, objective="mfu")
+
+    def test_negative_top_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k must be >= 0"):
+            find_serving_config(TINY, SYSTEM, 16, serving=SPEC, top_k=-2)
 
     def test_overloaded_traffic_finds_nothing(self):
         overload = ServingSpec(arrival_rate=1e7, prompt_tokens=512, output_tokens=128)
@@ -225,46 +233,63 @@ class TestServingTasksAndCache:
 
 
 class TestServingBatchEvalMode:
-    """Serving eval_mode="batch" vectorizes only the assignment-dependent
-    prefill communication and injects it into the scalar evaluator, so the
-    whole result — estimates AND diagnostics counters — must be identical
-    to the scalar path, pruned or exhaustive."""
+    """``find_optimal_config``'s library ``eval_mode`` switch under a
+    serving objective: validated like the training search's, then ignored
+    (the serving search prices per candidate and takes no ``eval_mode``),
+    so the whole result — estimates AND diagnostics counters — is the same
+    in both modes, pruned or exhaustive."""
+
+    @staticmethod
+    def _solve(model=TINY, **kwargs):
+        kwargs.setdefault("objective", "throughput")
+        return find_optimal_config(model, SYSTEM, 16, 1, serving=SPEC, **kwargs)
 
     @pytest.mark.parametrize("objective", ["throughput", "ttft", "tpot"])
     def test_batch_identical_to_scalar_including_statistics(self, objective):
-        scalar = find_serving_config(
-            TINY, SYSTEM, 16, serving=SPEC, objective=objective, eval_mode="scalar"
-        )
-        batch = find_serving_config(
-            TINY, SYSTEM, 16, serving=SPEC, objective=objective, eval_mode="batch"
-        )
+        scalar = self._solve(objective=objective, eval_mode="scalar")
+        batch = self._solve(objective=objective, eval_mode="batch")
         assert batch == scalar  # full dataclass equality, statistics included
+        assert batch == find_serving_config(
+            TINY, SYSTEM, 16, serving=SPEC, objective=objective
+        )
 
     @pytest.mark.parametrize("model", [TINY, TINY_MOE])
     def test_pruned_batch_equals_exhaustive_batch(self, model):
-        pruned = find_serving_config(
-            model, SYSTEM, 16, serving=SPEC, eval_mode="batch"
-        )
-        exhaustive = find_serving_config(
-            model, SYSTEM, 16, serving=SPEC, space=NO_PRUNE, eval_mode="batch"
-        )
+        pruned = self._solve(model, eval_mode="batch")
+        exhaustive = self._solve(model, space=NO_PRUNE, eval_mode="batch")
         assert pruned.best == exhaustive.best
 
     def test_batch_topk_identical_to_scalar(self):
-        scalar = find_serving_config(
-            TINY, SYSTEM, 16, serving=SPEC, top_k=4, eval_mode="scalar"
-        )
-        batch = find_serving_config(
-            TINY, SYSTEM, 16, serving=SPEC, top_k=4, eval_mode="batch"
-        )
+        scalar = self._solve(top_k=4, eval_mode="scalar")
+        batch = self._solve(top_k=4, eval_mode="batch")
         assert batch.top_k == scalar.top_k
 
     def test_batch_requires_analytic_backend(self):
         with pytest.raises(ValueError, match="eval_mode='batch'"):
-            find_serving_config(
-                TINY, SYSTEM, 16, serving=SPEC, eval_mode="batch", backend="sim"
-            )
+            self._solve(eval_mode="batch", backend="sim")
 
     def test_unknown_eval_mode_is_rejected(self):
         with pytest.raises(ValueError, match="eval_mode"):
-            find_serving_config(TINY, SYSTEM, 16, serving=SPEC, eval_mode="simd")
+            self._solve(eval_mode="simd")
+
+    def test_serving_search_takes_no_eval_mode(self):
+        with pytest.raises(TypeError, match="eval_mode"):
+            find_serving_config(TINY, SYSTEM, 16, serving=SPEC, eval_mode="scalar")
+
+    def test_serving_search_leaves_numpy_unloaded(self):
+        """The serving search no longer imports the batch pricer (and NumPy)."""
+        code = (
+            "import sys\n"
+            "from repro.core.inference import ServingSpec, find_serving_config\n"
+            "from repro.core.model import TransformerConfig\n"
+            "from repro.core.system import make_system\n"
+            "model = TransformerConfig(name='t', seq_len=1024, embed_dim=2048,"
+            " num_heads=16, kv_heads=4, depth=16)\n"
+            "result = find_serving_config(model, make_system('A100', 4), 16,"
+            " serving=ServingSpec())\n"
+            "assert result.found\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

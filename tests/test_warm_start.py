@@ -136,7 +136,11 @@ class TestWarmEqualsColdTraining:
 
 
 class TestWarmEqualsColdServing:
-    """Serving-objective searches honour the same identity contract."""
+    """Serving-objective searches honour the same identity contract.
+
+    They run through :func:`find_optimal_config`, which forwards the hints
+    to the serving search and ignores either library ``eval_mode`` there.
+    """
 
     @pytest.mark.parametrize("eval_mode", ["scalar", "batch"])
     @pytest.mark.parametrize("objective", SERVING_OBJECTIVES)
@@ -146,9 +150,9 @@ class TestWarmEqualsColdServing:
         )
         assert donor.found
         kwargs = dict(serving=SERVE_SPEC, objective=objective, eval_mode=eval_mode)
-        cold = find_serving_config(TINY, SERVE_SYSTEM, 16, **kwargs)
-        warm = find_serving_config(
-            TINY, SERVE_SYSTEM, 16, warm_hints=(donor.best.config,), **kwargs
+        cold = find_optimal_config(TINY, SERVE_SYSTEM, 16, 1, **kwargs)
+        warm = find_optimal_config(
+            TINY, SERVE_SYSTEM, 16, 1, warm_hints=(donor.best.config,), **kwargs
         )
         assert cold == warm
         assert cold.best.config == warm.best.config
@@ -260,8 +264,9 @@ def _task(system, n_gpus, **overrides):
 
 class TestEstimateTaskCost:
     def test_batch_mode_is_cheaper_than_scalar(self, b200):
-        scalar = estimate_task_cost(_task(b200, 256))
-        batch = estimate_task_cost(_task(b200, 256, eval_mode="batch"))
+        """An analytic task is batch-priced, a ``sim`` one per candidate."""
+        scalar = estimate_task_cost(_task(b200, 256, backend="sim"))
+        batch = estimate_task_cost(_task(b200, 256))
         assert batch == pytest.approx(0.2 * scalar)
         assert batch < scalar
 
@@ -269,8 +274,8 @@ class TestEstimateTaskCost:
         bad = _task(b200, 256, strategy="no-such-strategy")
         assert estimate_task_cost(bad) == 256.0
         # The GPU-count fallback is not a candidate count: no batch discount.
-        bad_batch = _task(b200, 256, strategy="no-such-strategy", eval_mode="batch")
-        assert estimate_task_cost(bad_batch) == 256.0
+        bad_sim = _task(b200, 256, strategy="no-such-strategy", backend="sim")
+        assert estimate_task_cost(bad_sim) == 256.0
 
     def test_serving_cost_counts_the_serving_enumeration(self, b200):
         """A serving task is priced by what its solver enumerates: the
@@ -293,9 +298,11 @@ class TestEstimateTaskCost:
         """Pricing serving work off the *training* enumeration overstated it
         by the collapsed microbatch/schedule axes, pushing every serving
         point ahead of genuinely larger training searches in the
-        longest-first dispatch order."""
+        longest-first dispatch order.  The training task runs on ``sim`` so
+        that both are priced per candidate (an analytic one is batch-priced
+        and discounted)."""
         serving = _task(b200, 256, objective="throughput", serving=ServingSpec())
-        training = _task(b200, 256)
+        training = _task(b200, 256, backend="sim")
         assert estimate_task_cost(serving) < estimate_task_cost(training)
 
     def test_pareto_tasks_price_like_training(self, b200):
