@@ -94,7 +94,7 @@ SCALAR_SEARCH = (
 
 #: Minimum end-to-end speedup of the batch path over the scalar path,
 #: measured back-to-back in the same process.  The array programs price the
-#: pinned search roughly 4x faster than the scalar loop; 3x leaves headroom
+#: pinned search roughly 8-9x faster than the scalar loop; 3x leaves headroom
 #: for CI noise while still failing if vectorization silently degrades to
 #: per-candidate work.
 MIN_BATCH_SPEEDUP = 3.0
@@ -109,9 +109,13 @@ SWEEP_ARGV = [
 ]
 
 #: Minimum end-to-end wall-clock speedup of the warm-started sweep over
-#: the same sweep with ``--no-warm-start``, measured back-to-back.  The
-#: seeded incumbent cuts the first 256-candidate batch chunk per point,
-#: which measures ~1.6-2x here; 1.5x is the contract.
+#: the same sweep with ``--no-warm-start``, measured back-to-back.  Each
+#: point's survivors fit one 256-parallelization batch chunk, which a cold
+#: search prices whole and the seeded threshold cuts.  1.5x is the
+#: contract, but pass 1 costs the same cold and warm, so with one array
+#: program per batch chunk the sweep reads 1.0-2.0x (median 1.24x over 8
+#: runs) and this check fails most runs; ROADMAP item 1 records the
+#: warm-seeding ablation and the decision on this floor.
 MIN_WARM_SPEEDUP = 1.5
 
 #: Minimum ratio of candidates evaluated cold vs warm across the sweep.

@@ -1,13 +1,19 @@
-"""Vectorized (NumPy) pricing of whole candidate enumerations.
+"""Vectorized (NumPy) pricing of candidate batches.
 
 The scalar evaluation path prices one ``(ParallelConfig, GpuAssignment)``
 candidate per :func:`~repro.core.execution.evaluate_config` call — thousands
-of Python object constructions per search.  This module prices an *entire*
-batch of candidates as NumPy array programs instead: the candidate axes
-(tp/pp/dp/ep x schedule x virtual stages x NVS assignment) are packed into
-structured arrays, every :class:`~repro.core.plan.CostPhase` term is
-evaluated as one vectorized operation across all candidates, and the final
-reduction produces the per-candidate step times in a single pass.
+of Python object constructions per search.  This module prices a whole
+batch (a search chunk) as NumPy array programs instead.  Each candidate is
+one *lane*: its integer axes (pipeline and DP degrees, microbatch count,
+schedule, virtual stages, NVS assignment) are packed into one int64 lane
+matrix.  Lanes are grouped by the *structure* of their stage key — the
+ordered collectives, SUMMA records and DP sync groups, which one model and
+strategy share across every microbatch size, TP factorization, panel count
+and EP degree — and each group is priced as one program: the per-key
+numbers (stage times, volumes, parameter counts) are gathered into lane
+arrays, every :class:`~repro.core.plan.CostPhase` term is one vectorized
+operation across the lanes, and the bubble and P2P factor are applied per
+schedule through masks.  A chunk of one model and strategy is one program.
 
 **The scalar path stays the bit-exactness oracle.**  Every formula here is
 the elementwise float64 transcription of the corresponding scalar code —
@@ -40,17 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.collectives import _BANDWIDTH_MULTIPLIER, POINT_TO_POINT
-from repro.core.config_space import (
-    SearchSpace,
-    count_configurations,
-    gpu_assignments,
-    parallel_configs,
-)
 from repro.core.execution import (
     DEFAULT_BACKEND,
     ModelingOptions,
@@ -77,16 +77,13 @@ from repro.core.parallelism.data_parallel import (
     resolve_zero_stage,
 )
 from repro.core.schedules import get_schedule
-from repro.core.system import NetworkSpec, SystemSpec
+from repro.core.system import GpuSpec, NetworkSpec, SystemSpec
 
 __all__ = [
     "EVAL_MODES",
     "BatchBreakdown",
-    "CandidateRow",
     "batch_candidate_breakdowns",
     "batch_candidate_times",
-    "batch_evaluate_enumeration",
-    "materialize_enumeration",
     "non_dominated_mask",
     "validate_eval_mode",
 ]
@@ -169,20 +166,8 @@ def _ep_colocated(size: int, limit: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Candidate batches
+# Candidate lanes
 # ----------------------------------------------------------------------
-
-#: One fully-specified search candidate, with its bookkeeping indices:
-#: ``rank`` is the parallelization's enumeration rank and ``assign_idx`` the
-#: index of the assignment within ``gpu_assignments`` — the same tie-break
-#: key order the scalar search uses.
-@dataclass(frozen=True)
-class CandidateRow:
-    rank: int
-    config: ParallelConfig
-    assign_idx: int
-    assignment: GpuAssignment
-
 
 @dataclass(frozen=True)
 class BatchBreakdown:
@@ -204,48 +189,151 @@ class BatchBreakdown:
         return len(self.total)
 
 
+#: Rows of the lane matrix (:func:`_pack_lanes`), one column per candidate:
+#: the stage key index, the ``(schedule, virtual stages)`` index, the
+#: pipeline and data-parallel degrees, the virtual stages, the microbatch
+#: count and the four NVS assignment factors.
+_KEY, _SV, _NP, _ND, _V, _M, _NVS_TP1, _NVS_TP2, _NVS_PP, _NVS_DP = range(10)
+
+#: What a candidate's stage times and workload depend on: strategy,
+#: microbatch, TP factorization, SUMMA panels and EP degree.
+_StageKey = Tuple[str, int, int, int, int, int]
+
+
+def _pack_lanes(
+    candidates: Sequence[Tuple[ParallelConfig, GpuAssignment]], global_batch_size: int
+) -> Tuple[List[_StageKey], List[Tuple[str, int]], np.ndarray]:
+    """``(stage keys, (schedule, v) pairs, lane matrix)`` of a candidate batch.
+
+    The lane matrix is ``(10, n)`` int64 (rows :data:`_KEY` ...
+    :data:`_NVS_DP`); its first two rows index into the two lists.
+    Consecutive candidates of one config object share its columns, which is
+    how the search hands over every assignment of a parallelization.
+    """
+    keys: Dict[_StageKey, int] = {}
+    schedules: Dict[Tuple[str, int], int] = {}
+    columns = []
+    last = head = None
+    for config, assignment in candidates:
+        if config is not last:
+            last = config
+            key = (
+                config.strategy,
+                config.microbatch_size,
+                config.tensor_parallel_1,
+                config.tensor_parallel_2,
+                config.summa_panels,
+                config.expert_parallel,
+            )
+            head = (
+                keys.setdefault(key, len(keys)),
+                schedules.setdefault((config.schedule, config.virtual_stages), len(schedules)),
+                config.pipeline_parallel,
+                config.data_parallel,
+                config.virtual_stages,
+                config.num_microbatches(global_batch_size),
+            )
+        columns.append(
+            head
+            + (assignment.nvs_tp1, assignment.nvs_tp2, assignment.nvs_pp, assignment.nvs_dp)
+        )
+    lanes = np.array(columns, dtype=np.int64).reshape(len(columns), 10).T.copy()
+    return list(keys), list(schedules), lanes
+
+
+class _Structure(NamedTuple):
+    """The collectives of one stage key, without their volumes.
+
+    Stage keys with equal structures price as one lane program: the
+    program's shape is fixed by the structure, and the per-key numbers
+    (stage times, volumes, SUMMA records, parameter counts) enter it as
+    lane arrays.
+    """
+
+    #: ``(collective, group)`` of each exposed (non-overlapped) TP
+    #: collective, and ``(activation group, weight group)`` of each SUMMA
+    #: matmul, of the forward and the backward pass.
+    fwd_comms: Tuple[Tuple[str, str], ...]
+    fwd_summa: Tuple[Tuple[str, str], ...]
+    bwd_comms: Tuple[Tuple[str, str], ...]
+    bwd_summa: Tuple[Tuple[str, str], ...]
+    #: The DP gradient-sync group, then the expert one when the model has
+    #: expert parameters.
+    sync_groups: Tuple[str, ...]
+
+
+def _key_values(
+    model: TransformerConfig, gpu: GpuSpec, key: _StageKey, options: ModelingOptions
+) -> Tuple[_Structure, List[float], Tuple[int, int, int]]:
+    """``(structure, per-key floats, (n1, n2, ep))`` of one stage key.
+
+    The floats are, in this order: forward and backward flop and exposed
+    HBM times, dense and expert parameters per GPU, the two-way pipeline
+    P2P volume, then the forward collective volumes, the forward SUMMA
+    records ``(activation bytes, weight bytes, panel compute, panels)``,
+    the backward collective volumes and the backward SUMMA records —
+    the order :func:`_price_lanes` reads them in.
+    """
+    strategy, bm, n1, n2, nb, ep = key
+    stage = _cached_stage_times(
+        strategy, model, gpu, bm, n1, n2, nb,
+        options.flash_attention, options.include_dropout, options.include_flop_latency, ep,
+    )
+    workload = _cached_workload(
+        strategy, model, bm, n1, n2, nb, options.flash_attention, options.include_dropout, ep
+    )
+    # pipeline_p2p_volume_bytes(both_directions=True), in its operation order.
+    elements = bm * model.seq_len * model.embed_dim / (n1 * n2)
+    values = [
+        stage.fwd_flop,
+        stage.fwd_mem_exposed,
+        stage.bwd_flop,
+        stage.bwd_mem_exposed,
+        workload.params_per_gpu,
+        workload.expert_params_per_gpu,
+        2.0 * (elements * model.dtype_bytes),
+    ]
+    shape = []
+    for comms, records in ((stage.fwd_comms, stage.fwd_summa), (stage.bwd_comms, stage.bwd_summa)):
+        exposed = [comm for comm in comms if not comm.overlapped]
+        values += [comm.volume_bytes for comm in exposed]
+        for act_bytes, _, w_bytes, _, panel_compute, panels in records:
+            values += [act_bytes, w_bytes, panel_compute, panels]
+        shape.append(tuple((comm.collective, comm.group) for comm in exposed))
+        shape.append(tuple((rec[1], rec[3]) for rec in records))
+    sync_groups = (workload.grad_sync_group,)
+    if workload.expert_params_per_gpu > 0:
+        sync_groups += (workload.expert_grad_sync_group,)
+    return _Structure(*shape, sync_groups), values, (n1, n2, ep)
+
+
 class _GroupGeometry:
-    """Vectorized group placement for one homogeneous candidate group.
+    """Vectorized group placement of a set of candidate lanes.
 
     Replicates :func:`repro.core.execution._group_placement` (including the
     EP carve-out and the ``GroupPlacement`` co-location clamp) as aligned
     ``(size, gpus_per_nvs_domain)`` int64 arrays, lazily per group label.
     """
 
-    def __init__(
-        self,
-        n1: int,
-        n2: int,
-        ep: int,
-        np_: np.ndarray,
-        nd: np.ndarray,
-        nvs_tp1: np.ndarray,
-        nvs_tp2: np.ndarray,
-        nvs_pp: np.ndarray,
-        nvs_dp: np.ndarray,
-    ):
+    def __init__(self, n1: np.ndarray, n2: np.ndarray, ep: np.ndarray, lanes: np.ndarray):
         self.n1, self.n2, self.ep = n1, n2, ep
-        self.np_, self.nd = np_, nd
+        self.np_, self.nd = lanes[_NP], lanes[_ND]
         self.nvs = {
-            GROUP_TP1: nvs_tp1,
-            GROUP_TP2: nvs_tp2,
-            GROUP_PP: nvs_pp,
-            GROUP_DP: nvs_dp,
+            GROUP_TP1: lanes[_NVS_TP1],
+            GROUP_TP2: lanes[_NVS_TP2],
+            GROUP_PP: lanes[_NVS_PP],
+            GROUP_DP: lanes[_NVS_DP],
         }
-        self._count = len(nd)
         self._cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def _const(self, value: int) -> np.ndarray:
-        return np.full(self._count, value, dtype=np.int64)
 
     def _base_size(self, group: str) -> np.ndarray:
         if group.endswith("/ep"):
             # Validity is checked during enumeration; here ep always divides.
             return self._base_size(group[: -len("/ep")]) // self.ep
         if group == GROUP_TP1:
-            return self._const(self.n1)
+            return self.n1
         if group == GROUP_TP2:
-            return self._const(self.n2)
+            return self.n2
         if group == GROUP_PP:
             return self.np_
         if group == GROUP_DP:
@@ -253,9 +341,9 @@ class _GroupGeometry:
         if group == GROUP_DP_TP2:
             return self.nd * self.n2
         if group == GROUP_EP:
-            return self._const(self.ep)
+            return self.ep
         if group == "tp":
-            return self._const(self.n1 * self.n2)
+            return self.n1 * self.n2
         raise KeyError(f"unknown parallel group {group!r}")
 
     def _base_nvs(self, group: str) -> np.ndarray:
@@ -274,11 +362,12 @@ class _GroupGeometry:
         if group == GROUP_EP or group.endswith("/ep"):
             base = group[: -len("/ep")] if group.endswith("/ep") else GROUP_DP
             base_nvs = self._base_nvs(base)
-            nvs = np.fromiter(
-                (_ep_colocated(int(s), int(b)) for s, b in zip(size, base_nvs)),
+            # One divisor search per distinct (size, co-location) pair.
+            pairs, inverse = np.unique((size << 32) | base_nvs, return_inverse=True)
+            nvs = np.array(
+                [_ep_colocated(p >> 32, p & 0xFFFFFFFF) for p in pairs.tolist()],
                 dtype=np.int64,
-                count=self._count,
-            )
+            )[inverse.reshape(-1)]
         else:
             nvs = self._base_nvs(group)
         # GroupPlacement.__post_init__ clamps co-location to the group size.
@@ -287,23 +376,28 @@ class _GroupGeometry:
         return size, nvs
 
 
-def _comm_time_arr(comms, geometry: _GroupGeometry, network: NetworkSpec, count: int):
-    """Vectorized :func:`repro.core.execution._comm_time` (op-order sum)."""
+def _comm_time_arr(comms, volumes, geometry: _GroupGeometry, network: NetworkSpec, count: int):
+    """Vectorized :func:`repro.core.execution._comm_time` (op-order sum).
+
+    ``comms`` are a structure's exposed ``(collective, group)`` pairs; their
+    volume lanes are read from the ``volumes`` iterator.
+    """
     total = np.zeros(count)
-    for comm in comms:
-        if comm.overlapped:
-            continue
-        size, nvs = geometry(comm.group)
-        total = total + _collective_time_arr(
-            comm.collective, comm.volume_bytes, size, nvs, network
-        )
+    for collective, group in comms:
+        size, nvs = geometry(group)
+        total = total + _collective_time_arr(collective, next(volumes), size, nvs, network)
     return total
 
 
-def _summa_comm_time_arr(records, geometry: _GroupGeometry, network: NetworkSpec, count: int):
-    """Vectorized :func:`repro.core.execution._summa_comm_time`."""
+def _summa_comm_time_arr(records, values, geometry: _GroupGeometry, network: NetworkSpec, count: int):
+    """Vectorized :func:`repro.core.execution._summa_comm_time`.
+
+    ``records`` are a structure's ``(activation group, weight group)``
+    pairs; each record's four value lanes are read from ``values``.
+    """
     total = np.zeros(count)
-    for act_bytes, act_group, w_bytes, w_group, panel_compute, nb in records:
+    for act_group, w_group in records:
+        act_bytes, w_bytes, panel_compute, nb = (next(values) for _ in range(4))
         act_size, act_nvs = geometry(act_group)
         w_size, w_nvs = geometry(w_group)
         panel_act = _collective_time_arr(
@@ -312,12 +406,12 @@ def _summa_comm_time_arr(records, geometry: _GroupGeometry, network: NetworkSpec
         panel_w = _collective_time_arr("broadcast", w_bytes / nb, w_size, w_nvs, network)
         panel_comm = panel_act + panel_w
         exposed_per_panel = np.maximum(0.0, panel_comm - panel_compute)
-        total = total + (panel_comm + max(0, nb - 1) * exposed_per_panel)
+        total = total + (panel_comm + np.maximum(0, nb - 1) * exposed_per_panel)
     return total
 
 
 def _dp_comm_arrs(
-    params_per_gpu: float,
+    params_per_gpu: np.ndarray,
     stage_layers: np.ndarray,
     sync_group: str,
     zero_stage: int,
@@ -344,94 +438,45 @@ def _dp_comm_arrs(
     return rs, ag
 
 
-#: Axes that are constant within one vectorized group: everything the cached
-#: stage times / workload depend on, plus the schedule (whose bubble formula
-#: and P2P volume factor differ per schedule).
-_GroupKey = Tuple[str, int, int, int, int, int, str]
-
-
-def _group_key(config: ParallelConfig) -> _GroupKey:
-    return (
-        config.strategy,
-        config.microbatch_size,
-        config.tensor_parallel_1,
-        config.tensor_parallel_2,
-        config.summa_panels,
-        config.expert_parallel,
-        config.schedule,
-    )
-
-
-def _price_group(
+def _price_lanes(
     model: TransformerConfig,
-    system: SystemSpec,
-    candidates: Sequence[Tuple[ParallelConfig, GpuAssignment]],
-    global_batch_size: int,
+    network: NetworkSpec,
     options: ModelingOptions,
+    structure: _Structure,
+    values: np.ndarray,
+    ints: np.ndarray,
+    lanes: np.ndarray,
+    schedules: Sequence[Tuple[str, int]],
 ) -> BatchBreakdown:
-    """Price one homogeneous group (shared stage times) of candidates."""
-    head = candidates[0][0]
-    schedule = get_schedule(head.schedule)
-    network = system.network
-    count = len(candidates)
+    """Price lanes of one structure as a single array program.
 
-    stage = _cached_stage_times(
-        head.strategy,
-        model,
-        system.gpu,
-        head.microbatch_size,
-        head.tensor_parallel_1,
-        head.tensor_parallel_2,
-        head.summa_panels,
-        options.flash_attention,
-        options.include_dropout,
-        options.include_flop_latency,
-        head.expert_parallel,
-    )
-    workload = _cached_workload(
-        head.strategy,
-        model,
-        head.microbatch_size,
-        head.tensor_parallel_1,
-        head.tensor_parallel_2,
-        head.summa_panels,
-        options.flash_attention,
-        options.include_dropout,
-        head.expert_parallel,
-    )
-
-    # --- per-candidate integer axes ------------------------------------
-    np_ = np.fromiter((c.pipeline_parallel for c, _ in candidates), np.int64, count)
-    nd = np.fromiter((c.data_parallel for c, _ in candidates), np.int64, count)
-    v = np.fromiter((c.virtual_stages for c, _ in candidates), np.int64, count)
-    m = np.fromiter(
-        (c.num_microbatches(global_batch_size) for c, _ in candidates), np.int64, count
-    )
+    ``values`` (float64) and ``ints`` (``n1, n2, ep``) hold each lane's
+    per-key numbers, one row per quantity, in :func:`_key_values` order;
+    ``lanes`` is the matching slice of the lane matrix.  Every expression
+    mirrors ``_assemble_plan`` and the plan reduction operation for
+    operation, so each lane is the scalar oracle's float64 result.
+    """
+    count = lanes.shape[1]
+    np_, v, m, sv = lanes[_NP], lanes[_V], lanes[_M], lanes[_SV]
+    fwd_flop, fwd_mem, bwd_flop, bwd_mem, params, expert_params, p2p_volume = values[:7]
+    rows = iter(values[7:])  # the collective and SUMMA lanes, in structure order
     stage_layers = model.depth // np_
-    geometry = _GroupGeometry(
-        head.tensor_parallel_1,
-        head.tensor_parallel_2,
-        head.expert_parallel,
-        np_,
-        nd,
-        np.fromiter((a.nvs_tp1 for _, a in candidates), np.int64, count),
-        np.fromiter((a.nvs_tp2 for _, a in candidates), np.int64, count),
-        np.fromiter((a.nvs_pp for _, a in candidates), np.int64, count),
-        np.fromiter((a.nvs_dp for _, a in candidates), np.int64, count),
-    )
+    geometry = _GroupGeometry(ints[0], ints[1], ints[2], lanes)
 
     # --- per-microbatch, per-stage times (mirrors _assemble_plan) -------
-    fwd_tp_comm = _comm_time_arr(
-        stage.fwd_comms, geometry, network, count
-    ) + _summa_comm_time_arr(stage.fwd_summa, geometry, network, count)
-    bwd_tp_comm = _comm_time_arr(
-        stage.bwd_comms, geometry, network, count
-    ) + _summa_comm_time_arr(stage.bwd_summa, geometry, network, count)
+    fwd_tp_comm = _comm_time_arr(structure.fwd_comms, rows, geometry, network, count)
+    fwd_tp_comm = fwd_tp_comm + _summa_comm_time_arr(
+        structure.fwd_summa, rows, geometry, network, count
+    )
+    bwd_tp_comm = _comm_time_arr(structure.bwd_comms, rows, geometry, network, count)
+    bwd_tp_comm = bwd_tp_comm + _summa_comm_time_arr(
+        structure.bwd_summa, rows, geometry, network, count
+    )
 
-    fwd_compute = stage.fwd_flop * stage_layers
-    fwd_memory = stage.fwd_mem_exposed * stage_layers
-    bwd_compute = stage.bwd_flop * stage_layers
-    bwd_memory = stage.bwd_mem_exposed * stage_layers
+    fwd_compute = fwd_flop * stage_layers
+    fwd_memory = fwd_mem * stage_layers
+    bwd_compute = bwd_flop * stage_layers
+    bwd_memory = bwd_mem * stage_layers
     fwd_tp_comm = fwd_tp_comm * stage_layers
     bwd_tp_comm = bwd_tp_comm * stage_layers
 
@@ -446,20 +491,26 @@ def _price_group(
     compute = m * (fwd_compute + bwd_compute)
     memory = m * (fwd_memory + bwd_memory)
     tp_comm = m * (fwd_tp_comm + bwd_tp_comm)
-    pp_bubble = schedule.bubble_time_batch(np_, m, tf, tb, v)
+
+    # --- pipeline bubble, per schedule ----------------------------------
+    names = list(dict.fromkeys(name for name, _ in schedules))
+    sched = np.array([names.index(name) for name, _ in schedules], dtype=np.int64)[sv]
+    pp_bubble = np.empty(count)
+    for index, name in enumerate(names):
+        lane = sched == index
+        pp_bubble[lane] = get_schedule(name).bubble_time_batch(
+            np_[lane], m[lane], tf[lane], tb[lane], v[lane]
+        )
 
     # --- pipeline P2P ---------------------------------------------------
     if options.overlap_pp:
         pp_comm = np.zeros(count)
     else:
-        # pipeline_p2p_volume_bytes, hoisted: constant within the group.
-        elements = (
-            head.microbatch_size * model.seq_len * model.embed_dim / head.tensor_parallel
-        )
-        p2p_volume = 2.0 * (elements * model.dtype_bytes)
+        factor = np.array(
+            [get_schedule(name).p2p_volume_factor(vs) for name, vs in schedules],
+            dtype=np.float64,
+        )[sv]
         _, pp_nvs = geometry(GROUP_PP)
-        factors = {vs: schedule.p2p_volume_factor(vs) for vs in np.unique(v).tolist()}
-        factor = np.fromiter((factors[vv] for vv in v.tolist()), np.float64, count)
         pp_comm = np.where(
             np_ > 1, m * (factor * _p2p_time_arr(p2p_volume, pp_nvs, network)), 0.0
         )
@@ -467,13 +518,11 @@ def _price_group(
     # --- data parallel ---------------------------------------------------
     zero_stage = resolve_zero_stage(options.zero_stage, options.zero_optimizer)
     rs_total, ag_total = _dp_comm_arrs(
-        workload.params_per_gpu, stage_layers, workload.grad_sync_group,
-        zero_stage, geometry, network,
+        params, stage_layers, structure.sync_groups[0], zero_stage, geometry, network
     )
-    if workload.expert_params_per_gpu > 0:
+    if len(structure.sync_groups) > 1:
         rs_exp, ag_exp = _dp_comm_arrs(
-            workload.expert_params_per_gpu, stage_layers,
-            workload.expert_grad_sync_group, zero_stage, geometry, network,
+            expert_params, stage_layers, structure.sync_groups[1], zero_stage, geometry, network
         )
         rs_total = rs_total + rs_exp
         ag_total = ag_total + ag_exp
@@ -504,29 +553,43 @@ def batch_candidate_breakdowns(
 ) -> BatchBreakdown:
     """Per-candidate category breakdowns of a heterogeneous candidate batch.
 
-    Candidates are grouped by their stage-time key (strategy, microbatch,
-    TP factorization, panels, EP, schedule); each group is priced as one
-    array program and the results are scattered back into input order.
+    Candidates are packed into lanes, and the lanes are grouped by the
+    :class:`_Structure` of their stage key (not by the key itself): every
+    microbatch size, TP factorization, panel count, EP degree and schedule
+    with the same collectives shares one array program, with the per-key
+    numbers gathered into lane arrays.  A batch of one model and strategy
+    is typically one program; each program's results are scattered back
+    into input order.
     """
-    count = len(candidates)
-    fields = {
-        name: np.zeros(count)
+    keys, schedules, lanes = _pack_lanes(candidates, global_batch_size)
+    programs: Dict[_Structure, List[int]] = {}
+    key_values, key_ints = [], []
+    for key in keys:
+        structure, values, ints = _key_values(model, system.gpu, key, options)
+        programs.setdefault(structure, []).append(len(key_values))
+        key_values.append(values)
+        key_ints.append(ints)
+
+    key_of_lane = lanes[_KEY]
+    out = {
+        name: np.empty(len(candidates))
         for name in ("compute", "memory", "tp_comm", "pp_bubble", "pp_comm", "dp_comm", "total")
     }
-    groups: Dict[_GroupKey, List[int]] = {}
-    for idx, (config, _) in enumerate(candidates):
-        groups.setdefault(_group_key(config), []).append(idx)
-    for indices in groups.values():
-        priced = _price_group(
-            model,
-            system,
-            [candidates[i] for i in indices],
-            global_batch_size,
-            options,
+    for structure, members in programs.items():
+        # Per-key numbers as (quantity, key) matrices, gathered per lane.
+        values = np.array([key_values[k] for k in members], dtype=np.float64).T.copy()
+        ints = np.array([key_ints[k] for k in members], dtype=np.int64).T.copy()
+        local_of = np.full(len(keys), -1, dtype=np.int64)
+        local_of[members] = np.arange(len(members))
+        local = local_of[key_of_lane]
+        (index,) = np.nonzero(local >= 0)
+        priced = _price_lanes(
+            model, system.network, options, structure,
+            values[:, local[index]], ints[:, local[index]], lanes[:, index], schedules,
         )
-        for name, out in fields.items():
-            out[indices] = getattr(priced, name)
-    return BatchBreakdown(**fields)
+        for name, arr in out.items():
+            arr[index] = getattr(priced, name)
+    return BatchBreakdown(**out)
 
 
 def batch_candidate_times(
@@ -541,78 +604,6 @@ def batch_candidate_times(
     return batch_candidate_breakdowns(
         model, system, candidates, global_batch_size=global_batch_size, options=options
     ).total
-
-
-# ----------------------------------------------------------------------
-# Whole-enumeration entry points
-# ----------------------------------------------------------------------
-
-def materialize_enumeration(
-    model: TransformerConfig,
-    system: SystemSpec,
-    n_gpus: int,
-    global_batch_size: int,
-    strategy: str,
-    space: SearchSpace,
-    *,
-    check_counts: bool = True,
-) -> List[CandidateRow]:
-    """Materialize every (parallelization, assignment) candidate as rows.
-
-    With ``check_counts`` (the default, active under ``__debug__``), the
-    materialized row count is asserted equal to
-    :func:`~repro.core.config_space.count_configurations`, so the
-    enumeration and the batch pricer can never silently diverge.
-    """
-    rows: List[CandidateRow] = []
-    n_configs = 0
-    for rank, config in enumerate(
-        parallel_configs(model, n_gpus, global_batch_size, strategy, space)
-    ):
-        n_configs += 1
-        for assign_idx, assignment in enumerate(
-            gpu_assignments(config, system.nvs_domain_size, space)
-        ):
-            rows.append(CandidateRow(rank, config, assign_idx, assignment))
-    if check_counts and __debug__:
-        counted_configs, counted_rows = count_configurations(
-            model, n_gpus, global_batch_size, strategy, system.nvs_domain_size, space
-        )
-        assert (n_configs, len(rows)) == (counted_configs, counted_rows), (
-            f"enumeration drifted from count_configurations: materialized "
-            f"({n_configs}, {len(rows)}) != counted ({counted_configs}, {counted_rows})"
-        )
-    return rows
-
-
-def batch_evaluate_enumeration(
-    model: TransformerConfig,
-    system: SystemSpec,
-    n_gpus: int,
-    global_batch_size: int,
-    strategy: str,
-    *,
-    space: SearchSpace,
-    options: ModelingOptions = DEFAULT_OPTIONS,
-) -> Tuple[List[CandidateRow], BatchBreakdown]:
-    """Price one strategy's full enumeration; returns (rows, breakdowns).
-
-    Analysis/testing helper: the search itself prices memory-filtered
-    chunks (see :func:`repro.core.search.find_optimal_config`), but the
-    full-enumeration form is what the equivalence suites pin against the
-    scalar oracle.
-    """
-    rows = materialize_enumeration(
-        model, system, n_gpus, global_batch_size, strategy, space
-    )
-    priced = batch_candidate_breakdowns(
-        model,
-        system,
-        [(row.config, row.assignment) for row in rows],
-        global_batch_size=global_batch_size,
-        options=options,
-    )
-    return rows, priced
 
 
 # ----------------------------------------------------------------------

@@ -1047,7 +1047,7 @@ def find_serving_config(
     incumbent = BestK(top_k, prune)
 
     seeded = SearchStatistics()
-    if warm_hints and prune and top_k == 0:
+    if warm_hints and prune and incumbent.best_only:
         seeded = warm_seed(
             CandidatePricer(evaluate_hint, score, system.nvs_domain_size, serving_space),
             incumbent,

@@ -28,9 +28,10 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import compress
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config_space import (
     DEFAULT_SEARCH_SPACE,
@@ -49,10 +50,14 @@ from repro.core.execution import (
     config_time_lower_bound,
     estimate_config_memory,
     evaluate_config,
+    register_cache,
 )
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import GpuAssignment, ParallelConfig
 from repro.core.system import SystemSpec
+
+if TYPE_CHECKING:  # NumPy is imported lazily, by the functions that use it.
+    import numpy as np
 
 #: Strategies searched when the caller asks for "all".
 ALL_STRATEGIES = ("tp1d", "tp2d", "summa")
@@ -353,13 +358,15 @@ class BestK:
 
     Rows are keyed by ``(score, rank, assignment index)``, so exact score ties
     resolve by enumeration order whatever order they were priced in.  The
-    pruning threshold is the best score — or, with ``top_k > 0``, the k-th
+    pruning threshold is the best score — or, with ``top_k > 1``, the k-th
     best, so pruning also preserves the exact top-k set — tightened by the
     warm seed (:meth:`seed`) and capped by ``floor``: the lowest best score
     or warm seed the earlier strategies of the same multi-strategy call
-    reached (see :func:`find_optimal_config`).  A survivor is pruned only
-    when its bound *exceeds* the threshold, so an exact tie with the
-    incumbent is still priced.
+    reached (see :func:`find_optimal_config`).  A one-entry leaderboard's
+    k-th best *is* the best score, so ``top_k=1`` follows the best-only
+    rules (:attr:`best_only`).  A survivor is pruned only when its bound
+    *exceeds* the threshold, so an exact tie with the incumbent is still
+    priced.
     """
 
     def __init__(self, top_k: int = 0, prune: bool = True, floor: float = math.inf) -> None:
@@ -372,11 +379,20 @@ class BestK:
         self._heap: List[tuple] = []
         self._pruned_bounds: List[float] = []
 
+    @property
+    def best_only(self) -> bool:
+        """True when the threshold is the best score (``top_k <= 1``).
+
+        Only then may a warm seed or a floor tighten it: a single score
+        would over-tighten the k-th-best threshold of a longer leaderboard.
+        """
+        return self.top_k <= 1
+
     def _threshold(self) -> float:
         """The threshold this search's own rows and seed justify."""
         if not self.prune:
             return math.inf
-        if self.top_k > 0:
+        if not self.best_only:
             return -self._heap[0][0] if len(self._heap) >= self.top_k else math.inf
         return min(self._best_key[0], self._seed)
 
@@ -503,7 +519,7 @@ class _BatchPricer(CandidatePricer):
         ]
 
 
-def _training_pricers(
+def _training_pricer(
     eval_mode: str,
     model: TransformerConfig,
     system: SystemSpec,
@@ -511,12 +527,8 @@ def _training_pricers(
     space: SearchSpace,
     options: ModelingOptions,
     backend: str,
-) -> Tuple[CandidatePricer, CandidatePricer]:
-    """``(pass-2 pricer, per-candidate pricer)`` of a training or Pareto search.
-
-    ``eval_mode`` picks the pass-2 pricer; warm seeds always use the
-    per-candidate :func:`evaluate_config` one.
-    """
+) -> CandidatePricer:
+    """The pricer of a training or Pareto search, picked by ``eval_mode``."""
 
     def evaluate(config: ParallelConfig, assignment: GpuAssignment) -> IterationEstimate:
         """The scalar oracle's estimate of one candidate."""
@@ -525,12 +537,11 @@ def _training_pricers(
             global_batch_size=global_batch_size, options=options, backend=backend,
         )
 
-    scalar = CandidatePricer(
-        evaluate, lambda est: est.total_time if est.feasible else None,
-        system.nvs_domain_size, space,
-    )
     if eval_mode != "batch":
-        return scalar, scalar
+        return CandidatePricer(
+            evaluate, lambda est: est.total_time if est.feasible else None,
+            system.nvs_domain_size, space,
+        )
     from repro.core import batch_eval
 
     def times(candidates):
@@ -538,17 +549,22 @@ def _training_pricers(
             model, system, candidates, global_batch_size=global_batch_size, options=options
         )
 
-    return _BatchPricer(evaluate, times, system.nvs_domain_size, space), scalar
+    return _BatchPricer(evaluate, times, system.nvs_domain_size, space)
 
 
-def warm_seed(price, incumbent: BestK, *adapt_args) -> SearchStatistics:
+def warm_seed(price, incumbent: BestK, *adapt_args, keep=None) -> SearchStatistics:
     """Price the warm hints adapted to this point and seed ``incumbent``.
 
     ``adapt_args`` are :func:`adapt_warm_hints`'s positional arguments.
-    Returns the seeding's statistics: candidates priced, hits, seconds.
+    ``keep``, when given, drops every adapted hint it returns false for
+    before pricing: pass 1's filter, for a pricer that assumes it.  All
+    remaining hints are priced as one chunk.  Returns the seeding's
+    statistics: candidates priced, hits, seconds.
     """
     t0 = time.perf_counter()
     hints = adapt_warm_hints(*adapt_args)
+    if keep is not None:
+        hints = [config for config in hints if keep(config)]
     rows = price([Survivor(0.0, rank, config) for rank, config in enumerate(hints)])
     hits = incumbent.seed(rows)
     return SearchStatistics(
@@ -595,6 +611,88 @@ def resolve_strategies(strategy: str | Sequence[str]) -> Tuple[str, ...]:
     return strategies
 
 
+#: Distinct ``(model, n_gpus, global batch, strategy, space, options)``
+#: keys whose pass-1 table :func:`_pass1_table` keeps.  The table does not
+#: depend on the system, so the systems of a grid sweep, the points of a
+#: heatmap and repeated API requests share one.  A pass of the planbench
+#: workloads touches 26-53 keys, and a table takes 44 bytes per
+#: parallelization (at most ~95 kB on those workloads).
+#: ``clear_caches`` in :mod:`repro.core.execution` empties the memo.
+PASS1_TABLE_CACHE_SIZE = 256
+
+
+class _Pass1Table(NamedTuple):
+    """One strategy's parallelizations and their HBM footprints, as arrays.
+
+    Row ``i`` is the parallelization of enumeration rank ``i``.  ``columns``
+    is ``(n, 9)`` int32 in :class:`ParallelConfig` field order — TP1, TP2,
+    PP, DP, microbatch, SUMMA panels, EP, schedule (an index into
+    ``space.schedules``) and virtual stages; ``footprint`` is the float64
+    per-GPU memory estimate in bytes, NaN where it raised ``ValueError``.
+    """
+
+    columns: np.ndarray
+    footprint: np.ndarray
+
+
+def _footprint(
+    model: TransformerConfig,
+    config: ParallelConfig,
+    global_batch_size: int,
+    options: ModelingOptions,
+) -> float:
+    """Pass 1's per-GPU memory estimate in bytes: NaN where it raises ``ValueError``.
+
+    NaN compares false against any HBM capacity, so a structurally invalid
+    parallelization is rejected like one that does not fit.
+    """
+    try:
+        memory = estimate_config_memory(
+            model, config, global_batch_size=global_batch_size, options=options
+        )
+    except ValueError:
+        return math.nan
+    return memory.total_bytes
+
+
+@register_cache("pass1_table")
+@lru_cache(maxsize=PASS1_TABLE_CACHE_SIZE)
+def _pass1_table(
+    model: TransformerConfig,
+    n_gpus: int,
+    global_batch_size: int,
+    strategy: str,
+    space: SearchSpace,
+    options: ModelingOptions,
+) -> _Pass1Table:
+    """Walk the enumeration once and estimate every parallelization's memory."""
+    import numpy as np
+
+    columns, footprint = [], []
+    for config in parallel_configs(model, n_gpus, global_batch_size, strategy, space):
+        columns.append(
+            (
+                config.tensor_parallel_1,
+                config.tensor_parallel_2,
+                config.pipeline_parallel,
+                config.data_parallel,
+                config.microbatch_size,
+                config.summa_panels,
+                config.expert_parallel,
+                space.schedules.index(config.schedule),
+                config.virtual_stages,
+            )
+        )
+        footprint.append(_footprint(model, config, global_batch_size, options))
+    table = _Pass1Table(
+        np.array(columns, dtype=np.int32).reshape(len(columns), 9),
+        np.array(footprint, dtype=np.float64),
+    )
+    for array in table:  # every caller shares the memoized arrays
+        array.setflags(write=False)
+    return table
+
+
 def _feasible_survivors(
     model: TransformerConfig,
     system: SystemSpec,
@@ -608,38 +706,37 @@ def _feasible_survivors(
     """Pass 1 of training and Pareto search: memory filter, then time bound.
 
     Memory does not depend on the NVS assignment, so HBM-infeasible
-    parallelizations are rejected before any assignment is priced.  With
-    pruning, each survivor carries the compute-only lower bound that orders
-    pass 2; otherwise its bound is 0.  Survivors come in enumeration order.
+    parallelizations are rejected before any assignment is priced.  The
+    footprints come from the memoized :func:`_pass1_table`, which every
+    system shares, and are filtered by one array compare; only the
+    parallelizations that fit are built.  With pruning, each survivor
+    carries the compute-only lower bound that orders pass 2; otherwise its
+    bound is 0.  Survivors come in enumeration order.
     """
+    import numpy as np
+
+    table = _pass1_table(model, n_gpus, global_batch_size, strategy, space, options)
+    fits = table.footprint <= system.gpu.hbm_capacity
+    n_other = int(np.isnan(table.footprint).sum())
+    n_fit = int(fits.sum())
     survivors: List[Survivor] = []
-    n_parallel = n_mem = n_other = n_bounds = 0
-    for rank, config in enumerate(
-        parallel_configs(model, n_gpus, global_batch_size, strategy, space)
+    for rank, (n1, n2, np_, nd, bm, nb, ep, schedule, v) in zip(
+        np.flatnonzero(fits).tolist(), table.columns[fits].tolist()
     ):
-        n_parallel += 1
-        try:
-            memory = estimate_config_memory(
-                model, config, global_batch_size=global_batch_size, options=options
-            )
-        except ValueError:
-            n_other += 1
-            continue
-        if not memory.fits(system.gpu.hbm_capacity):
-            n_mem += 1
-            continue
+        config = ParallelConfig(
+            strategy, n1, n2, np_, nd, bm, nb, ep, space.schedules[schedule], v
+        )
         bound = 0.0
         if prune:
             bound = config_time_lower_bound(
                 model, system, config, global_batch_size=global_batch_size, options=options
             )
-            n_bounds += 1
         survivors.append(Survivor(bound, rank, config))
     return survivors, SearchStatistics(
-        parallel_configs=n_parallel,
-        infeasible_memory=n_mem,
+        parallel_configs=len(fits),
+        infeasible_memory=len(fits) - n_fit - n_other,
         infeasible_other=n_other,
-        bounds_computed=n_bounds,
+        bounds_computed=n_fit if prune else 0,
     )
 
 
@@ -658,15 +755,20 @@ def _search_single_strategy(
 ) -> SearchResult:
     """One strategy of :func:`find_optimal_config`: pass 1, then the kernel."""
     caches_before = cache_stats()
-    price, scalar = _training_pricers(
+    price = _training_pricer(
         eval_mode, model, system, global_batch_size, space, options, backend
     )
     # Warm seeds suit a pruned best-only search: a top-k leaderboard prunes
-    # on the k-th best, which a single seed score would over-tighten.
+    # on the k-th best, which a single seed score would over-tighten.  Pass
+    # 1's memory rule drops the hints that do not fit before pricing.
     seeded = SearchStatistics()
-    if warm_hints and incumbent.prune and incumbent.top_k == 0:
+    if warm_hints and incumbent.prune and incumbent.best_only:
         seeded = warm_seed(
-            scalar, incumbent, model, n_gpus, global_batch_size, strategy, space, warm_hints
+            price, incumbent, model, n_gpus, global_batch_size, strategy, space, warm_hints,
+            keep=lambda config: (
+                _footprint(model, config, global_batch_size, options)
+                <= system.gpu.hbm_capacity
+            ),
         )
 
     survivors, filtered = _feasible_survivors(
@@ -677,7 +779,10 @@ def _search_single_strategy(
     searched = branch_and_bound(survivors, price, incumbent)
 
     best = price.estimate(incumbent.best) if incumbent.best is not None else None
-    leaderboard = [price.estimate(row) for row in incumbent.leaderboard()]
+    leaderboard = [
+        best if row is incumbent.best else price.estimate(row)
+        for row in incumbent.leaderboard()
+    ]
     return SearchResult(
         model_name=model.name,
         system_name=system.name,
@@ -715,7 +820,7 @@ def find_optimal_config(
     ``strategy`` may be a single strategy name, a sequence of names, or
     ``"all"`` to search 1D TP, 2D TP and SUMMA together (the overall best is
     returned and the per-strategy statistics are merged).  The strategies
-    run in turn, and a pruned best-only search (no ``top_k``) starts each
+    run in turn, and a pruned best-only search (``top_k <= 1``) starts each
     one from the *floor*: the lowest best time or warm seed the earlier
     strategies reached.  The floor only prunes candidates that cannot beat
     the merged best, so the answer is unchanged;
@@ -741,8 +846,9 @@ def find_optimal_config(
     parity suites.  The serving objectives validate ``eval_mode`` but
     ignore it: serving always prices per candidate.
 
-    ``top_k`` is the size of the returned leaderboard (0: the winner only);
-    a negative value raises :class:`ValueError`.
+    ``top_k`` is the size of the returned leaderboard (0: the winner only;
+    1: the winner as a one-entry leaderboard, searched exactly like 0); a
+    negative value raises :class:`ValueError`.
 
     ``objective`` selects the execution regime.  The default
     (:data:`TRAINING_OBJECTIVE`) minimises the training iteration time and
@@ -759,12 +865,14 @@ def find_optimal_config(
     :class:`ParallelConfig` or ``(config, assignment)`` tuple, typically a
     neighboring search point's winner) is adapted to this point, validated
     as a member of the enumerated space and evaluated *before* the
-    enumeration; the best feasible time opens the pruning threshold.  The
-    selected optimum and top-k set are bit-identical to a cold search —
-    a seed is just a candidate evaluated first — and
+    enumeration; hints that do not fit in HBM are dropped first, and the
+    rest are priced as one chunk by the search's own pricer.  The best
+    feasible time opens the pruning threshold.  The selected optimum and
+    top-k set are bit-identical to a cold search — a seed is just a
+    candidate evaluated first — and
     :attr:`SearchStatistics.warm_start_hits` /
     :attr:`SearchStatistics.warm_seed_time` record the effect.  Hints are
-    ignored when pruning is off, when ``top_k > 0`` (a single seed would
+    ignored when pruning is off, when ``top_k > 1`` (a single seed would
     over-tighten the k-th-best threshold) or when none adapts into the
     space.
 
@@ -809,8 +917,9 @@ def find_optimal_config(
         # Each strategy starts from the floor the earlier ones reached.  That
         # is sound because a multi-strategy call only reports the *merged*
         # best: a candidate the floor pruned has time >= its bound > floor
-        # >= merged best.  A top-k leaderboard prunes on the k-th best, which
-        # a floor would over-tighten, so it only applies to best-only search.
+        # >= merged best.  A longer leaderboard prunes on the k-th best,
+        # which a floor would over-tighten, so it only applies to best-only
+        # search (``top_k <= 1``).
         results = []
         floor = math.inf
         for strat in strategies:
@@ -821,7 +930,7 @@ def find_optimal_config(
                     backend, eval_mode, incumbent, warm_hints,
                 )
             )
-            if prune and top_k == 0:
+            if prune and incumbent.best_only:
                 floor = incumbent.threshold()
         return results
 
@@ -1075,7 +1184,7 @@ def find_pareto_configs(
     def _run(opts: ModelingOptions):
         caches_before = cache_stats()
         archive = _FrontierArchive(prune)
-        price, _ = _training_pricers(
+        price = _training_pricer(
             eval_mode, model, system, global_batch_size, space, opts, backend
         )
         ctx = ObjectiveContext(

@@ -15,10 +15,11 @@ from dataclasses import replace
 
 import pytest
 
+from enumeration_rows import batch_evaluate_enumeration, materialize_enumeration
+from repro.core import batch_eval
 from repro.core.batch_eval import (
+    batch_candidate_breakdowns,
     batch_candidate_times,
-    batch_evaluate_enumeration,
-    materialize_enumeration,
     validate_eval_mode,
 )
 from repro.core.config_space import DEFAULT_SEARCH_SPACE, count_configurations
@@ -142,6 +143,55 @@ class TestEquivalenceGrid:
             global_batch_size=GLOBAL_BATCH,
         )
         assert (times == priced.total).all()
+
+
+class TestChunkProgram:
+    """A chunk is one array program per collective structure, not per
+    stage key."""
+
+    @staticmethod
+    def _priced(rows):
+        return batch_candidate_breakdowns(
+            DENSE, B200_NVS8, [(row.config, row.assignment) for row in rows],
+            global_batch_size=GLOBAL_BATCH,
+        )
+
+    def test_mixed_chunk_costs_one_key_and_stays_exact(self, monkeypatch):
+        rows = materialize_enumeration(DENSE, B200_NVS8, N_GPUS, GLOBAL_BATCH, "summa", SPACE)
+        configs = {row.config for row in rows}
+        assert len({config.microbatch_size for config in configs}) > 1
+        assert len({(c.tensor_parallel_1, c.tensor_parallel_2) for c in configs}) > 1
+        assert len({config.summa_panels for config in configs}) > 1
+        assert {config.schedule for config in configs} == set(SPACE.schedules)
+        one_key = [row for row in rows if row.config == rows[0].config]
+
+        calls = []
+        original = batch_eval._collective_time_arr
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(batch_eval, "_collective_time_arr", counting)
+        self._priced(one_key)
+        one_key_calls = list(calls)
+        calls.clear()
+        priced = self._priced(rows)
+        assert calls == one_key_calls
+        for i, row in enumerate(rows):
+            estimate = evaluate_config(
+                DENSE, B200_NVS8, row.config, row.assignment, global_batch_size=GLOBAL_BATCH
+            )
+            assert priced.total[i] == estimate.total_time
+            assert priced.pp_bubble[i] == estimate.breakdown.pp_bubble
+            assert priced.pp_comm[i] == estimate.breakdown.pp_comm
+
+    def test_empty_chunk_runs_no_program(self, monkeypatch):
+        """A warm seed whose hints all fail the memory filter prices nothing."""
+        monkeypatch.setattr(batch_eval, "_price_lanes", None)  # never called
+        priced = self._priced([])
+        assert len(priced) == 0
+        assert all(getattr(priced, name).shape == (0,) for name in ("compute", "pp_bubble", "total"))
 
 
 class TestMaterializeEnumeration:

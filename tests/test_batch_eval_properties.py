@@ -17,12 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from enumeration_rows import materialize_enumeration
 from repro.core import batch_eval
-from repro.core.batch_eval import (
-    batch_candidate_breakdowns,
-    materialize_enumeration,
-    non_dominated_mask,
-)
+from repro.core.batch_eval import batch_candidate_breakdowns, non_dominated_mask
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
 from repro.core.execution import DEFAULT_OPTIONS, evaluate_config
 from repro.core.model import TransformerConfig
@@ -136,15 +133,23 @@ class TestTrainingTermEquality:
 
     @given(
         picks=st.lists(
-            st.integers(min_value=0, max_value=10**9), min_size=2, max_size=8
+            st.tuples(
+                st.sampled_from(["tp1d", "tp2d", "summa"]),
+                st.sampled_from(["1f1b", "interleaved"]),
+                st.integers(min_value=0, max_value=10**9),
+            ),
+            min_size=2,
+            max_size=8,
         ),
-        strategy=st.sampled_from(["tp1d", "tp2d"]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_heterogeneous_batches_scatter_back_in_input_order(self, picks, strategy):
-        """A mixed-group batch equals its candidates priced one at a time."""
-        rows = _rows(DENSE, B200_NVS8, strategy, "1f1b", 1, 1)
-        chosen = [rows[p % len(rows)] for p in picks]
+    def test_heterogeneous_batches_scatter_back_in_input_order(self, picks):
+        """A batch mixing strategies — several lane programs — equals its
+        candidates priced one at a time."""
+        chosen = []
+        for strategy, schedule, pick in picks:
+            rows = _rows(DENSE, B200_NVS8, strategy, schedule, 1 if schedule == "1f1b" else 2, 1)
+            chosen.append(rows[pick % len(rows)])
         candidates = [(row.config, row.assignment) for row in chosen]
         batched = batch_candidate_breakdowns(
             DENSE, B200_NVS8, candidates, global_batch_size=GLOBAL_BATCH
@@ -153,9 +158,8 @@ class TestTrainingTermEquality:
             single = batch_candidate_breakdowns(
                 DENSE, B200_NVS8, [(config, assignment)], global_batch_size=GLOBAL_BATCH
             )
-            assert batched.total[i] == single.total[0]
-            assert batched.compute[i] == single.compute[0]
-            assert batched.dp_comm[i] == single.dp_comm[0]
+            for name in ("compute", "memory", "tp_comm", "pp_bubble", "pp_comm", "dp_comm", "total"):
+                assert getattr(batched, name)[i] == getattr(single, name)[0]
 
 
 def _pairwise_non_dominated(rows):

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.batch_eval import batch_evaluate_enumeration
+from enumeration_rows import batch_evaluate_enumeration
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
 from repro.core.execution import DEFAULT_OPTIONS, evaluate_config
 from repro.core.model import GPT3_1T, VIT_LONG_SEQ

@@ -503,8 +503,9 @@ class TestBatchEvalExecutor:
 
 class TestRuntimePricerChoice:
     """``solve_search_task`` picks the pricer from the backend: the batch
-    pricer for analytic training and Pareto tasks (the scalar oracle only
-    re-prices winners and warm seeds), per-candidate pricing for ``sim``."""
+    pricer for analytic training and Pareto tasks, warm seeds included (the
+    scalar oracle only re-prices winners), per-candidate pricing for
+    ``sim``."""
 
     @staticmethod
     def _scalar_prices(monkeypatch):
@@ -522,18 +523,32 @@ class TestRuntimePricerChoice:
         return calls
 
     def test_analytic_task_prices_only_winner_and_warm_seeds(self, b200, monkeypatch):
+        """The scalar oracle prices the winner only; the warm seeds are the
+        first batch chunk."""
+        from repro.core import batch_eval
+
         calls = self._scalar_prices(monkeypatch)
+        chunks = []
+        original = batch_eval.batch_candidate_times
+
+        def batched(model, system, candidates, **kwargs):
+            chunks.append(len(candidates))
+            return original(model, system, candidates, **kwargs)
+
+        monkeypatch.setattr(batch_eval, "batch_candidate_times", batched)
         cold = solve_search_task(_task(b200, 512))
         assert cold.statistics.candidates_evaluated > 100
         assert calls == [cold.best.config]
 
         calls.clear()
+        chunks.clear()
         hints = (cold.best.config,)
         warm = solve_search_task(_task(b200, 1024, warm_hints=hints))
         seeds = adapt_warm_hints(GPT3_1T, 1024, 4096, "tp1d", SearchSpace(), hints)
         seeded = sum(len(gpu_assignments(c, b200.nvs_domain_size)) for c in seeds)
         assert seeded > 0 and warm.statistics.warm_start_hits > 0
-        assert len(calls) == seeded + 1
+        assert calls == [warm.best.config]
+        assert chunks[0] == seeded
         assert warm == find_optimal_config(GPT3_1T, b200, 1024, 4096, strategy="tp1d")
 
     def test_analytic_pareto_task_reprices_only_the_frontier(self, b200, monkeypatch):

@@ -247,6 +247,20 @@ class TestBatchEvalMode:
         assert len(result.top_k) == 5
         assert result.statistics.shared_incumbent_prunes == 0
 
+    def test_top_1_searches_like_best_only(self, b200):
+        """A one-entry leaderboard's threshold is the best score, so
+        ``top_k=1`` keeps the multi-strategy floor and the warm seeds: it
+        prices exactly the candidates ``top_k=0`` prices."""
+        hints = (self._solve(b200, strategy="all", eval_mode="batch").best.config,)
+        best_only = self._solve(b200, strategy="all", warm_hints=hints, eval_mode="batch")
+        top_1 = self._solve(
+            b200, strategy="all", top_k=1, warm_hints=hints, eval_mode="batch"
+        )
+        assert top_1.top_k == [top_1.best]
+        assert top_1.best == best_only.best
+        for name in ("candidates_evaluated", "shared_incumbent_prunes", "warm_start_hits"):
+            assert getattr(top_1.statistics, name) == getattr(best_only.statistics, name) > 0
+
     def test_batch_requires_analytic_backend(self, b200):
         with pytest.raises(ValueError, match="eval_mode='batch'"):
             self._solve(b200, strategy="tp1d", eval_mode="batch", backend="sim")
