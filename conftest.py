@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+PLANBENCH_DIR = Path(__file__).resolve().parent / "planbench"
 
 
 def pytest_collection_modifyitems(items):
@@ -30,3 +34,18 @@ def pytest_addoption(parser):
 def update_goldens(request) -> bool:
     """True when the golden snapshots should be rewritten, not compared."""
     return bool(request.config.getoption("--update-goldens"))
+
+
+@pytest.fixture(autouse=True)
+def _cold_planner_caches_for_planbench(request):
+    """Give every test under ``planbench/`` cold planner caches.
+
+    Each benchmark pass starts from cleared memoization
+    (``planbench.drivers.reset_process``), and planbench's tests count the
+    work a search does, so a pass-1 table or workload an earlier test of the
+    session memoized must not hide that work from them.
+    """
+    if PLANBENCH_DIR in request.node.path.resolve().parents:
+        from repro.core.execution import clear_caches
+
+        clear_caches()

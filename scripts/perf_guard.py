@@ -12,23 +12,20 @@ wall-clock regresses more than the tolerance over its committed baseline:
 * ``benchmarks/baselines/search_gpt3_1t_batch.json`` — ``repro-perf
   search`` itself, which the runtime prices with the vectorized batch
   pricer;
-* ``benchmarks/baselines/sweep_gpt3_1t_warm.json`` — the warm-started
-  fig. 4a-style scaling sweep (cross-point incumbent seeding on);
+* ``benchmarks/baselines/sweep_gpt3_1t.json`` — the fig. 4a-style
+  scaling sweep through :func:`repro.analysis.sweeps.scaling_sweep`;
 * ``benchmarks/baselines/pareto_gpt3_1t.json`` — the multi-objective
   Pareto search (``find_pareto_configs``, all strategies, batch pricer).
   Besides the wall-clock budget this baseline pins the *exact* frontier
   size — the frontier is deterministic, so any drift means the dominance
   logic (not the machine) changed.
 
-On top of the per-mode baselines the guard asserts the *relative* speedups
-that justify each optimization's existence: the vectorized search must be
-at least :data:`MIN_BATCH_SPEEDUP`x faster than the scalar search, and the
-warm-started sweep must evaluate at least
-:data:`MIN_WARM_CANDIDATE_RATIO`x fewer candidates (a deterministic count)
-and finish at least :data:`MIN_WARM_SPEEDUP`x faster than the same sweep
-run cold, all measured in the same run.  Those checks compare two
-measurements from the same machine and process, so they need no
-calibration and cannot be fooled by runner speed.
+On top of the per-mode baselines the guard asserts the *relative* speedup
+that justifies the vectorized pricer's existence: the batch search must be
+at least :data:`MIN_BATCH_SPEEDUP`x faster than the scalar search, measured
+in the same run.  That check compares two measurements from the same
+machine and process, so it needs no calibration and cannot be fooled by
+runner speed.
 
 The guard is deliberately end-to-end — it exercises candidate enumeration,
 the cost-plan build/reduce, branch-and-bound pruning, the NumPy batch
@@ -70,9 +67,7 @@ DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "search_gpt3_1t.json
 DEFAULT_BATCH_BASELINE = (
     REPO_ROOT / "benchmarks" / "baselines" / "search_gpt3_1t_batch.json"
 )
-DEFAULT_WARM_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "sweep_gpt3_1t_warm.json"
-)
+DEFAULT_SWEEP_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "sweep_gpt3_1t.json"
 DEFAULT_PARETO_BASELINE = (
     REPO_ROOT / "benchmarks" / "baselines" / "pareto_gpt3_1t.json"
 )
@@ -99,29 +94,14 @@ SCALAR_SEARCH = (
 #: per-candidate work.
 MIN_BATCH_SPEEDUP = 3.0
 
-#: The warm-started scaling sweep: the gpt3-1t preset across the fig. 4a
-#: GPU grid on a B200 NVS-64 system with the batch pricer, where each
-#: point's winner seeds the next point's branch-and-bound incumbent.
+#: The guarded scaling sweep: the gpt3-1t preset across the fig. 4a GPU
+#: grid on a B200 NVS-64 system, every point searched cold with the batch
+#: pricer.
 SWEEP_GPUS = "4096,8192,16384,32768,65536,131072"
 SWEEP_ARGV = [
     "scaling", "--model", "gpt3-1t", "--gpu", "B200", "--nvs", "64",
     "--gpus", SWEEP_GPUS, "--global-batch", "4096", "--strategy", "tp1d",
 ]
-
-#: Minimum end-to-end wall-clock speedup of the warm-started sweep over
-#: the same sweep with ``--no-warm-start``, measured back-to-back.  Each
-#: point's survivors fit one 256-parallelization batch chunk, which a cold
-#: search prices whole and the seeded threshold cuts.  1.5x is the
-#: contract, but pass 1 costs the same cold and warm, so with one array
-#: program per batch chunk the sweep reads 1.0-2.0x (median 1.24x over 8
-#: runs) and this check fails most runs; ROADMAP item 1 records the
-#: warm-seeding ablation and the decision on this floor.
-MIN_WARM_SPEEDUP = 1.5
-
-#: Minimum ratio of candidates evaluated cold vs warm across the sweep.
-#: Candidate counts are exact and deterministic, so this check carries no
-#: measurement noise at all (~2.3x in practice; 2x is the contract).
-MIN_WARM_CANDIDATE_RATIO = 2.0
 
 #: The guarded multi-objective search: the gpt3-1t preset, every strategy,
 #: the default four-objective set, vectorized pricing.
@@ -202,12 +182,11 @@ def time_scalar_search(repeats: int) -> float:
     return best
 
 
-def time_sweep(warm_start: bool, repeats: int):
-    """Best-of-``repeats`` wall-clock and exact candidate count of the sweep.
+def time_sweep(repeats: int) -> float:
+    """Best-of-``repeats`` wall-clock of the guarded scaling sweep (seconds).
 
-    Runs :func:`repro.analysis.sweeps.scaling_sweep` in-process (the CLI
-    command ``repro-perf scaling`` over the same grid) so the guard can
-    read the deterministic per-point statistics alongside the wall-clock.
+    Runs :func:`repro.analysis.sweeps.scaling_sweep` in-process, the CLI
+    command ``repro-perf scaling`` over the same grid.
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.analysis.sweeps import scaling_sweep
@@ -218,23 +197,18 @@ def time_sweep(warm_start: bool, repeats: int):
     model = get_model("gpt3-1t")
     system = make_system("B200", 64)
     best = float("inf")
-    candidates = 0
     for _ in range(repeats):
         clear_caches()
         start = time.perf_counter()
-        sweep = scaling_sweep(
+        scaling_sweep(
             model,
             system,
             strategy="tp1d",
             n_gpus_list=[int(x) for x in SWEEP_GPUS.split(",")],
             global_batch_size=4096,
-            warm_start=warm_start,
         )
         best = min(best, time.perf_counter() - start)
-        candidates = sum(
-            p.result.statistics.candidates_evaluated for p in sweep.points
-        )
-    return best, candidates
+    return best
 
 
 def time_pareto(repeats: int):
@@ -319,7 +293,7 @@ def main_guard(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     parser.add_argument("--batch-baseline", type=Path, default=DEFAULT_BATCH_BASELINE)
-    parser.add_argument("--warm-baseline", type=Path, default=DEFAULT_WARM_BASELINE)
+    parser.add_argument("--sweep-baseline", type=Path, default=DEFAULT_SWEEP_BASELINE)
     parser.add_argument("--pareto-baseline", type=Path, default=DEFAULT_PARETO_BASELINE)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
@@ -335,8 +309,7 @@ def main_guard(argv=None) -> int:
 
     measured = time_scalar_search(args.repeats)
     measured_batch = time_search(SEARCH_ARGV, args.repeats)
-    cold_wall, cold_candidates = time_sweep(False, args.repeats)
-    warm_wall, warm_candidates = time_sweep(True, args.repeats)
+    sweep_wall = time_sweep(args.repeats)
     pareto_wall, frontier_size = time_pareto(args.repeats)
     calibration = calibrate()
 
@@ -344,7 +317,7 @@ def main_guard(argv=None) -> int:
         args.update
         or not args.baseline.exists()
         or not args.batch_baseline.exists()
-        or not args.warm_baseline.exists()
+        or not args.sweep_baseline.exists()
         or not args.pareto_baseline.exists()
     ):
         _write_baseline(args.baseline, SCALAR_SEARCH, measured, calibration, args.repeats)
@@ -353,7 +326,7 @@ def main_guard(argv=None) -> int:
             args.repeats,
         )
         _write_baseline(
-            args.warm_baseline, _command(SWEEP_ARGV), warm_wall, calibration, args.repeats
+            args.sweep_baseline, _command(SWEEP_ARGV), sweep_wall, calibration, args.repeats
         )
         _write_baseline(
             args.pareto_baseline, _command(PARETO_ARGV), pareto_wall, calibration,
@@ -361,7 +334,7 @@ def main_guard(argv=None) -> int:
         )
         print(
             f"baselines written: scalar {measured:.3f}s, batch {measured_batch:.3f}s, "
-            f"warm sweep {warm_wall:.3f}s, pareto {pareto_wall:.3f}s "
+            f"sweep {sweep_wall:.3f}s, pareto {pareto_wall:.3f}s "
             f"({frontier_size} frontier points, calibration {calibration:.4f}s) "
             f"-> {args.baseline.parent}"
         )
@@ -372,7 +345,7 @@ def main_guard(argv=None) -> int:
         "batch", args.batch_baseline, measured_batch, calibration, args.tolerance
     )
     ok &= _check_baseline(
-        "warm sweep", args.warm_baseline, warm_wall, calibration, args.tolerance
+        "sweep", args.sweep_baseline, sweep_wall, calibration, args.tolerance
     )
     ok &= _check_baseline(
         "pareto", args.pareto_baseline, pareto_wall, calibration, args.tolerance
@@ -402,38 +375,6 @@ def main_guard(argv=None) -> int:
         print(
             f"REGRESSION: vectorized search is only {speedup:.1f}x faster than "
             f"scalar (floor {MIN_BATCH_SPEEDUP:.0f}x)"
-        )
-
-    candidate_ratio = (
-        cold_candidates / warm_candidates if warm_candidates else float("inf")
-    )
-    if candidate_ratio >= MIN_WARM_CANDIDATE_RATIO:
-        print(
-            f"OK: warm-started sweep evaluates {candidate_ratio:.2f}x fewer "
-            f"candidates than cold ({cold_candidates} -> {warm_candidates}, "
-            f"floor {MIN_WARM_CANDIDATE_RATIO:.1f}x)"
-        )
-    else:
-        ok = False
-        print(
-            f"REGRESSION: warm-started sweep evaluates only "
-            f"{candidate_ratio:.2f}x fewer candidates than cold "
-            f"({cold_candidates} -> {warm_candidates}, "
-            f"floor {MIN_WARM_CANDIDATE_RATIO:.1f}x)"
-        )
-
-    warm_speedup = cold_wall / warm_wall if warm_wall > 0 else float("inf")
-    if warm_speedup >= MIN_WARM_SPEEDUP:
-        print(
-            f"OK: warm-started sweep is {warm_speedup:.2f}x faster than cold "
-            f"({cold_wall:.3f}s -> {warm_wall:.3f}s, floor {MIN_WARM_SPEEDUP:.1f}x)"
-        )
-    else:
-        ok = False
-        print(
-            f"REGRESSION: warm-started sweep is only {warm_speedup:.2f}x faster "
-            f"than cold ({cold_wall:.3f}s -> {warm_wall:.3f}s, "
-            f"floor {MIN_WARM_SPEEDUP:.1f}x)"
         )
 
     if not ok:

@@ -57,7 +57,6 @@ def speedup_sweep(
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
-    warm_start: bool = True,
 ) -> List[SpeedupPoint]:
     """Fig. A4: speedup of ``variant_strategy`` w.r.t. ``baseline_strategy``.
 
@@ -88,7 +87,7 @@ def speedup_sweep(
         for strat in (baseline_strategy, variant_strategy)
     ]
     executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    results = executor.run(tasks, warm_start=warm_start)
+    results = executor.run(tasks)
 
     points: List[SpeedupPoint] = []
     for idx, (system, n) in enumerate(grid):

@@ -12,14 +12,11 @@ Three families of experiments are provided:
   network fixed (Figs. A5 and A6).
 
 Each sweep is a batch of independent searches and accepts ``jobs`` (worker
-processes), ``cache`` (a :class:`~repro.runtime.SearchCache`),
-``progress`` and ``warm_start`` keywords, executed through
-:class:`~repro.runtime.SweepExecutor`; results are identical to serial
-execution regardless of ``jobs``.  Tasks are submitted ordered along the
-sweep axis, so warm starting (on by default) chains each point's winner
-into the next point's branch-and-bound seed — same optima, far fewer
-candidates evaluated (see ``docs/performance.md``).  The sweeps take no
-pricer argument: :func:`~repro.runtime.executor.solve_search_task` prices
+processes), ``cache`` (a :class:`~repro.runtime.SearchCache`) and
+``progress`` keywords, executed through :class:`~repro.runtime.SweepExecutor`;
+results are identical to serial execution regardless of ``jobs``, and every
+point is searched cold, exactly as it would be on its own.  The sweeps take
+no pricer argument: :func:`~repro.runtime.executor.solve_search_task` prices
 every analytic point with the vectorized batch pricer
 (:mod:`repro.core.batch_eval`, bit-exact against the scalar oracle) and a
 ``backend="sim"`` point per candidate.
@@ -116,7 +113,6 @@ def scaling_sweep(
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
-    warm_start: bool = True,
 ) -> ScalingSweep:
     """Re-run the optimal-configuration search at every GPU count (Fig. 4)."""
     sweep = ScalingSweep(
@@ -139,7 +135,7 @@ def scaling_sweep(
         for n in n_gpus_list
     ]
     executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    for n, result in zip(n_gpus_list, executor.run(tasks, warm_start=warm_start)):
+    for n, result in zip(n_gpus_list, executor.run(tasks)):
         sweep.points.append(ScalingPoint(n_gpus=n, result=result))
     return sweep
 
@@ -171,7 +167,6 @@ def system_grid_sweep(
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
-    warm_start: bool = True,
 ) -> List[SystemScalingSeries]:
     """Training time in days vs GPU count across the system grid (Fig. 5)."""
     regime = regime or default_regime(model, global_batch_size)
@@ -202,7 +197,7 @@ def system_grid_sweep(
             )
 
     executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    results = executor.run(tasks, warm_start=warm_start)
+    results = executor.run(tasks)
     per_series = len(list(n_gpus_list))
     for i, entry in enumerate(series):
         for j, n in enumerate(n_gpus_list):
@@ -259,7 +254,6 @@ def hardware_heatmap(
     jobs: Optional[int] = None,
     cache: Optional[SearchCache] = None,
     progress: Optional[ProgressCallback] = None,
-    warm_start: bool = True,
 ) -> HardwareHeatmap:
     """Training-days heatmap over synthetic GPU parameters (Figs. A5 / A6).
 
@@ -325,7 +319,7 @@ def hardware_heatmap(
             )
 
     executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    results = executor.run(tasks, warm_start=warm_start)
+    results = executor.run(tasks)
     grid = [
         [
             regime.days(result.best_time) if result.found else float("inf")

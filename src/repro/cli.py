@@ -41,9 +41,7 @@ accept ``--jobs N`` to fan the independent searches across N worker
 processes (results are identical to serial execution) and ``--cache PATH``
 to persist solved points in a content-addressed JSON cache that later
 sweeps — including different commands over overlapping grids — reuse.
-Sweep points warm-start each other by default (each point's winner seeds
-the next point's branch-and-bound incumbent; identical results, fewer
-candidates evaluated); ``--no-warm-start`` disables it.
+Every sweep point is searched cold, exactly as ``search`` would search it.
 """
 
 from __future__ import annotations
@@ -165,12 +163,6 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="search-cache journal path (JSON lines); solved points are reused "
         "across runs",
-    )
-    parser.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="disable cross-point incumbent seeding (every point searches "
-        "cold; results are identical either way)",
     )
 
 
@@ -459,7 +451,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         backend=args.backend,
         jobs=args.jobs,
         cache=cache,
-        warm_start=not args.no_warm_start,
     )
     _report_cache(cache)
     print(render_scaling_sweep(sweep))
@@ -484,7 +475,6 @@ def cmd_systems(args: argparse.Namespace) -> int:
         backend=args.backend,
         jobs=args.jobs,
         cache=cache,
-        warm_start=not args.no_warm_start,
     )
     _report_cache(cache)
     print(render_system_grid(series, model.name))
@@ -510,7 +500,6 @@ def cmd_speedup(args: argparse.Namespace) -> int:
         backend=args.backend,
         jobs=args.jobs,
         cache=cache,
-        warm_start=not args.no_warm_start,
     )
     _report_cache(cache)
     print(render_speedups(points))
@@ -730,11 +719,7 @@ def cmd_api(args: argparse.Namespace) -> int:
     # the service layer.
     from repro.serve_api import ApiError, PlannerApp, create_server
 
-    app = PlannerApp(
-        cache_path=args.cache,
-        jobs=args.jobs,
-        warm_start=not args.no_warm_start,
-    )
+    app = PlannerApp(cache_path=args.cache, jobs=args.jobs)
     try:
         server = create_server(args.host, args.port, app=app, quiet=args.quiet)
     except (ApiError, OSError) as exc:
@@ -970,12 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="search-cache journal path: replayed once at start-up, kept hot "
         "in memory, new records appended after every solved batch (omit for "
         "in-memory only)",
-    )
-    p.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="disable hint-index incumbent seeding for API requests "
-        "(results are identical either way)",
     )
     p.add_argument(
         "--quiet", action="store_true", help="suppress the per-request access log"

@@ -1007,10 +1007,10 @@ class ParetoResult:
     def best(self) -> Optional[IterationEstimate]:
         """The minimum-iteration-time frontier member (``None`` when empty).
 
-        This is what lets a Pareto solve feed the warm-start hint index and
-        the sweep winner chain exactly like a scalar solve: the fastest
-        frontier point is a true member of the search space and an excellent
-        seed for scalar searches of the same structure.
+        This is what lets a Pareto solve feed the warm-start hint index
+        exactly like a scalar solve: the fastest frontier point is a true
+        member of the search space and an excellent seed for scalar
+        searches of the same structure.
         """
         if not self.points:
             return None

@@ -18,8 +18,11 @@ they fan out perfectly across a :class:`concurrent.futures.ProcessPoolExecutor`.
 
 :meth:`SweepExecutor.run` layers the content-addressed
 :class:`~repro.runtime.cache.SearchCache` underneath: hits skip dispatch
-entirely, misses are solved (in parallel) and written back, and a
-path-backed cache is saved once at the end of the batch.
+entirely, misses are solved cold (in parallel) and written back, and a
+path-backed cache is saved once at the end of the batch.  A sweep does not
+seed one point's search from another point's winner: on the paper's sweeps
+the seeds cost more time than the candidates they saved (see
+``docs/performance.md``, Layer 5).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config_space import (
@@ -42,7 +45,6 @@ from repro.core.inference import ServingSpec
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import (
-    MAX_WARM_HINTS,
     TRAINING_OBJECTIVE,
     SearchResult,
     find_optimal_config,
@@ -50,7 +52,7 @@ from repro.core.search import (
     resolve_strategies,
 )
 from repro.core.system import SystemSpec
-from repro.runtime.cache import SearchCache, reduced_fingerprint
+from repro.runtime.cache import SearchCache
 
 #: ``progress(done, total)`` — invoked after every completed point.
 ProgressCallback = Callable[[int, int], None]
@@ -91,7 +93,10 @@ class SearchTask:
     objectives: Tuple[str, ...] = ()
     #: Warm-start hints: winner configs of neighboring points, evaluated
     #: first to seed the branch-and-bound threshold (see
-    #: :func:`repro.core.search.find_optimal_config`).  Hints provably never
+    #: :func:`repro.core.search.find_optimal_config`).  The planning API
+    #: attaches them from the cache's hint index
+    #: (:meth:`~repro.runtime.cache.SearchCache.warm_hints`);
+    #: :meth:`SweepExecutor.run` attaches none.  Hints provably never
     #: change the result, so they are **excluded from equality and hashing**
     #: (batch dedup treats a hinted and an unhinted copy of the same search
     #: as one task) and from the cache fingerprint (a warm solve and a cold
@@ -110,11 +115,11 @@ class SearchTask:
 
 
 #: Relative per-candidate cost of the vectorized batch pricer versus the
-#: scalar oracle.  Batch mode prices ~5x faster per candidate (see
-#: ``scripts/perf_guard.py``'s measured floor of 3x and ``BENCH_search.json``),
-#: so an analytic training task is a much *shorter* job than a ``sim`` or
-#: serving task of equal candidate count — LPT dispatch must know that or
-#: it misorders mixed task lists.
+#: scalar oracle.  Batch mode prices ~5x faster per candidate
+#: (``scripts/perf_guard.py`` gates it at no less than 3x), so an analytic
+#: training task is a much *shorter* job than a ``sim`` or serving task of
+#: equal candidate count — LPT dispatch must know that or it misorders
+#: mixed task lists.
 _BATCH_MODE_COST_FACTOR = 0.2
 
 
@@ -249,11 +254,6 @@ def solve_search_task(task: SearchTask):
         eval_mode=_eval_mode(task),
         warm_hints=task.warm_hints,
     )
-
-
-def _winner_config(result) -> Optional[ParallelConfig]:
-    """The winning :class:`ParallelConfig` of a search result, if any."""
-    return getattr(getattr(result, "best", None), "config", None)
 
 
 class SweepExecutor:
@@ -465,75 +465,27 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Cache-aware search batches
     # ------------------------------------------------------------------
-    def _hints_for(
-        self,
-        task: SearchTask,
-        board: Dict[str, List[ParallelConfig]],
-    ) -> Tuple[ParallelConfig, ...]:
-        """Warm hints for ``task``: its own, then the run's, then the cache's.
-
-        The in-run board holds winners of points already solved (or cache-hit)
-        in this batch, most recent first — for a sweep ordered along its axis
-        that is exactly the neighboring point.  The cache's structure-keyed
-        index extends the reach to points solved in past runs or by other
-        processes.  Deduplicated, capped at
-        :data:`repro.core.search.MAX_WARM_HINTS`.
-        """
-        hints: List[ParallelConfig] = list(task.warm_hints)
-        hints.extend(board.get(reduced_fingerprint(task), ()))
-        if self.cache is not None:
-            hints.extend(self.cache.warm_hints(task))
-        unique: List[ParallelConfig] = []
-        for hint in hints:
-            if hint not in unique:
-                unique.append(hint)
-            if len(unique) >= MAX_WARM_HINTS:
-                break
-        return tuple(unique)
-
-    @staticmethod
-    def _record_winner(
-        task: SearchTask, result, board: Dict[str, List[ParallelConfig]]
-    ) -> None:
-        """Prepend ``result``'s winner to the in-run hint board."""
-        config = _winner_config(result)
-        if config is None:
-            return
-        bucket = board.setdefault(reduced_fingerprint(task), [])
-        if config in bucket:
-            bucket.remove(config)
-        bucket.insert(0, config)
-
     def run(
         self,
         tasks: Sequence[SearchTask],
         *,
         progress: Optional[ProgressCallback] = None,
-        warm_start: bool = True,
     ) -> List[SearchResult]:
         """Solve every task (cache hits first), preserving input order.
 
         Duplicate tasks within the batch are solved once and fanned back to
         every occurrence (the ``speedup`` sweep, for instance, can submit
-        the same baseline search for many grid points).
-
-        With ``warm_start`` (the default) each solve is seeded with the
-        winners of neighboring points: serially, every point's winner chains
-        forward into the next solve of the same structure; in parallel,
-        hints come from the batch's cache hits and the cache's persistent
-        hint index (a worker cannot see a sibling's in-flight winner).  Warm
-        starting provably never changes any selected optimum (see
-        :func:`~repro.core.search.find_optimal_config`), only the
-        compare-excluded work counters — which is also why a parallel run's
-        counters may differ from a serial run's: the two see different
-        hints.
+        the same baseline search for many grid points).  Every miss is
+        solved cold by :func:`solve_search_task`, with only the hints the
+        task itself carries, so a serial run, a fanned-out run and direct
+        :func:`solve_search_task` calls agree on every result and on every
+        deterministic work counter.
         """
         tasks = list(tasks)
         total = len(tasks)
         report = progress if progress is not None else self.progress
         results: List[Optional[SearchResult]] = [None] * total
 
-        hint_board: Dict[str, List[ParallelConfig]] = {}
         pending: Dict[SearchTask, List[int]] = {}
         # One cache fingerprint per distinct task, shared by get and put.
         fingerprints: Dict[SearchTask, str] = {}
@@ -546,16 +498,13 @@ class SweepExecutor:
                 hit = self.cache.get(task, fingerprint=fingerprints[task])
             if hit is not None:
                 results[idx] = hit
-                if warm_start:
-                    self._record_winner(task, hit, hint_board)
                 done += 1
                 self._report(done, total, report)
             else:
                 pending.setdefault(task, []).append(idx)
 
         unique_tasks = list(pending)
-        serial = self.jobs <= 1 or len(unique_tasks) <= 1
-        if not serial:
+        if self.jobs > 1 and len(unique_tasks) > 1:
             # Longest-processing-time dispatch: hand the biggest searches to
             # the pool first so the sweep's critical path is the single
             # largest point, not "whatever happened to be submitted last".
@@ -564,35 +513,9 @@ class SweepExecutor:
             # identical to serial execution.
             unique_tasks.sort(key=estimate_task_cost, reverse=True)
 
-        if not warm_start:
-            solve = solve_search_task
-            dispatch: Sequence[SearchTask] = unique_tasks
-        elif serial:
-            # In-process: chain each solved point's winner into the next
-            # task of the same structure (sweeps submit tasks ordered along
-            # their axis, so the previous point is the nearest neighbor).
-            # A closure is fine here — the serial path never pickles it.
-            def solve(task: SearchTask):
-                result = solve_search_task(
-                    replace(task, warm_hints=self._hints_for(task, hint_board))
-                )
-                self._record_winner(task, result, hint_board)
-                return result
-
-            dispatch = unique_tasks
-        else:
-            # Worker processes cannot see each other's in-flight winners, so
-            # hints are pre-attached from what is already known (this
-            # batch's cache hits and the cache's persistent hint index).
-            solve = solve_search_task
-            dispatch = [
-                replace(task, warm_hints=self._hints_for(task, hint_board))
-                for task in unique_tasks
-            ]
-
         solved = self.map(
-            solve,
-            dispatch,
+            solve_search_task,
+            unique_tasks,
             progress=report,
             _done_offset=done,
             _total=total,

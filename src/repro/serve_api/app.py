@@ -76,13 +76,12 @@ class PlannerApp:
         The engine entry point per unique task.  Injectable for tests
         (e.g. a solver blocked on an event makes dedup deterministic);
         defaults to the same :func:`solve_search_task` the CLI sweeps use.
-    warm_start:
-        Seed every engine solve from the cache's structure-keyed hint
-        index (the nearest prior winner of the same model/system/structure,
-        see :meth:`~repro.runtime.cache.SearchCache.warm_hints`).  On by
-        default: results are provably identical, only faster, and
-        ``warm_start_hits`` in :meth:`status` shows the effect under real
-        traffic.
+
+    Every engine solve is seeded from the cache's structure-keyed hint
+    index (the nearest prior winner of the same model/system/structure, see
+    :meth:`~repro.runtime.cache.SearchCache.warm_hints`).  Results are
+    provably identical to a cold solve; ``warm_start_hits`` in
+    :meth:`status` counts the seeds that took.
     """
 
     def __init__(
@@ -91,12 +90,10 @@ class PlannerApp:
         cache_path=None,
         jobs: Optional[int] = None,
         solver: Callable[[SearchTask], Any] = None,
-        warm_start: bool = True,
     ):
         self.cache = SearchCache(cache_path)
         self.executor = SweepExecutor(jobs, persistent=True)
         self._solver = solver
-        self.warm_start = bool(warm_start)
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
         self._counters: Dict[str, int] = {
@@ -182,16 +179,14 @@ class PlannerApp:
 
         try:
             if owned_tasks:
-                dispatch = owned_tasks
-                if self.warm_start:
-                    # Seed each miss from the nearest prior winner of its
-                    # structure.  Hints are compare-excluded on SearchTask,
-                    # so the in-flight fingerprints (computed on the bare
-                    # tasks above) still match the hinted copies.
-                    dispatch = [
-                        replace(task, warm_hints=self.cache.warm_hints(task))
-                        for task in owned_tasks
-                    ]
+                # Seed each miss from the nearest prior winner of its
+                # structure.  Hints are compare-excluded on SearchTask, so
+                # the in-flight fingerprints (computed on the bare tasks
+                # above) still match the hinted copies.
+                dispatch = [
+                    replace(task, warm_hints=self.cache.warm_hints(task))
+                    for task in owned_tasks
+                ]
                 solved = self.executor.map(
                     self._solve_fn(),
                     dispatch,
@@ -407,7 +402,6 @@ class PlannerApp:
             "jobs": self.executor.jobs,
             "in_flight": in_flight,
             **counters,
-            "warm_start": self.warm_start,
             "cache": {
                 **self.cache.stats(),
                 "path": str(self.cache.path) if self.cache.path else None,

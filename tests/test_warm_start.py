@@ -1,4 +1,4 @@
-"""Warm-started search: incumbent seeding, hint index, executor chaining.
+"""Warm-started search: incumbent seeding, the hint index and API seeding.
 
 The contract under test everywhere here: warm hints may only *accelerate*
 the branch-and-bound search — the returned optimum, the top-k set and
@@ -23,7 +23,7 @@ from repro.core.model import GPT3_1T, VIT_LONG_SEQ, TransformerConfig
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import MAX_WARM_HINTS, adapt_warm_hints, find_optimal_config
 from repro.core.system import make_system
-from repro.runtime import SearchCache, SearchTask, SweepExecutor, solve_search_task
+from repro.runtime import SearchCache, SearchTask, solve_search_task
 from repro.runtime.cache import reduced_fingerprint
 from repro.runtime.executor import estimate_task_cost
 
@@ -385,18 +385,7 @@ class TestHintIndex:
         assert merged.stats()["hint_entries"] == 2
 
 
-class TestExecutorWarmChaining:
-    def test_warm_sweep_matches_cold_and_seeds(self, b200):
-        tasks = [_task(b200, n) for n in (256, 512, 1024)]
-        executor = SweepExecutor(1)
-        cold = executor.run(tasks, warm_start=False)
-        warm = executor.run(tasks, warm_start=True)
-        assert cold == warm
-        assert [c.best.config for c in cold] == [w.best.config for w in warm]
-        assert sum(r.statistics.warm_start_hits for r in warm) > 0
-        # The first task in dispatch order searches cold by construction.
-        assert sum(r.statistics.warm_start_hits for r in cold) == 0
-
+class TestHintedTaskIdentity:
     def test_hinted_task_hits_unhinted_cache_entry(self, b200):
         """warm_hints is compare-excluded: fingerprints must not change."""
         cache = SearchCache()
@@ -413,9 +402,11 @@ class TestExecutorWarmChaining:
 
 class TestApiWarmStatus:
     def test_status_surfaces_warm_start_fields(self):
+        """A default app seeds every miss from the hint index; status reports
+        the seeds that took, not a switch."""
         from repro.serve_api import PlannerApp
 
-        app = PlannerApp(warm_start=True)
+        app = PlannerApp()
         try:
             base = {
                 "workload": "gpt3-1t", "gpu": "B200", "nvs": 8,
@@ -426,27 +417,9 @@ class TestApiWarmStatus:
             status = app.status()
         finally:
             app.close()
-        assert status["warm_start"] is True
+        assert "warm_start" not in status
         assert cold_body["statistics"]["warm_start_hits"] == 0
         assert warm_body["statistics"]["warm_start_hits"] >= 1
         assert status["warm_start_hits"] >= 1
         assert status["cache"]["hint_keys"] >= 1
         assert status["cache"]["hint_entries"] >= 2
-
-    def test_warm_start_off_never_seeds(self):
-        from repro.serve_api import PlannerApp
-
-        app = PlannerApp(warm_start=False)
-        try:
-            base = {
-                "workload": "gpt3-1t", "gpu": "B200", "nvs": 8,
-                "global_batch": 4096, "eval_mode": "batch",
-            }
-            app.search({**base, "gpus": 256})
-            body = app.search({**base, "gpus": 512})
-            status = app.status()
-        finally:
-            app.close()
-        assert status["warm_start"] is False
-        assert body["statistics"]["warm_start_hits"] == 0
-        assert status["warm_start_hits"] == 0
