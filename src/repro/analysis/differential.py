@@ -289,8 +289,8 @@ def run_differential_grid(
     """
     cases = list(cases if cases is not None else build_default_grid())
     system = system or make_system("B200", 8)
-    executor = SweepExecutor(jobs)
-    return executor.map(_run_case_args, [(case, system, options) for case in cases])
+    with SweepExecutor(jobs) as executor:
+        return executor.map(_run_case_args, [(case, system, options) for case in cases])
 
 
 def format_failure_diff(result: DifferentialResult) -> str:

@@ -86,8 +86,8 @@ def speedup_sweep(
         for system, n in grid
         for strat in (baseline_strategy, variant_strategy)
     ]
-    executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    results = executor.run(tasks)
+    with SweepExecutor(jobs, cache=cache, progress=progress) as executor:
+        results = executor.run(tasks)
 
     points: List[SpeedupPoint] = []
     for idx, (system, n) in enumerate(grid):

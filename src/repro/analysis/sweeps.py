@@ -134,8 +134,9 @@ def scaling_sweep(
         )
         for n in n_gpus_list
     ]
-    executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    for n, result in zip(n_gpus_list, executor.run(tasks)):
+    with SweepExecutor(jobs, cache=cache, progress=progress) as executor:
+        results = executor.run(tasks)
+    for n, result in zip(n_gpus_list, results):
         sweep.points.append(ScalingPoint(n_gpus=n, result=result))
     return sweep
 
@@ -196,8 +197,8 @@ def system_grid_sweep(
                 for n in n_gpus_list
             )
 
-    executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    results = executor.run(tasks)
+    with SweepExecutor(jobs, cache=cache, progress=progress) as executor:
+        results = executor.run(tasks)
     per_series = len(list(n_gpus_list))
     for i, entry in enumerate(series):
         for j, n in enumerate(n_gpus_list):
@@ -318,8 +319,8 @@ def hardware_heatmap(
                 )
             )
 
-    executor = SweepExecutor(jobs, cache=cache, progress=progress)
-    results = executor.run(tasks)
+    with SweepExecutor(jobs, cache=cache, progress=progress) as executor:
+        results = executor.run(tasks)
     grid = [
         [
             regime.days(result.best_time) if result.found else float("inf")

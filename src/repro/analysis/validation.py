@@ -190,11 +190,11 @@ def run_validation(
     ``cases``.
     """
     system = system or make_perlmutter(4)
-    executor = SweepExecutor(jobs)
-    return executor.map(
-        _evaluate_case,
-        [(case, system, global_batch_size, options) for case in cases],
-    )
+    with SweepExecutor(jobs) as executor:
+        return executor.map(
+            _evaluate_case,
+            [(case, system, global_batch_size, options) for case in cases],
+        )
 
 
 def prediction_orders_match(comparisons: Sequence[ValidationComparison]) -> bool:

@@ -109,7 +109,7 @@ def _add_common_model_args(
     parser.add_argument("--model", default="gpt3-1t", help="model preset name (legacy alias)")
     if single_system:
         parser.add_argument("--gpu", default="B200", help="GPU generation (A100/H200/B200)")
-        parser.add_argument("--nvs", type=int, default=8, help="NVSwitch domain size")
+        parser.add_argument("--nvs", type=_parse_nvs, default=8, help="NVSwitch domain size")
     parser.add_argument("--global-batch", type=int, default=4096, help="global batch size")
     parser.add_argument(
         "--strategy", default="tp1d", help="tp1d, tp2d, summa or 'all'"
@@ -192,6 +192,27 @@ def _parse_gpu_list(text: str) -> List[int]:
     if not gpus:
         raise argparse.ArgumentTypeError(f"--gpus list {text!r} contains no GPU counts")
     return gpus
+
+
+def _nvs_size(text: str, where: str) -> int:
+    """One NVSwitch domain size, an integer >= 1; ``where`` names the flag."""
+    try:
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid NVSwitch domain size {text!r} {where}") from None
+    if size < 1:
+        raise argparse.ArgumentTypeError(f"NVSwitch domain sizes must be >= 1, got {size} {where}")
+    return size
+
+
+def _parse_nvs(text: str) -> int:
+    """Parse ``--nvs``; a bad size is a usage error (exit 2), not a traceback."""
+    return _nvs_size(text, "for --nvs")
+
+
+def _parse_nvs_sizes(text: str) -> List[int]:
+    """Parse the comma-separated ``--nvs-sizes`` list the same way."""
+    return [_nvs_size(tok, f"in --nvs-sizes list {text!r}") for tok in text.split(",")]
 
 
 def _parse_expert_parallel(text: str) -> Optional[int]:
@@ -335,11 +356,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         f"{result.statistics.candidates_evaluated} candidates evaluated, "
         f"{result.statistics.pruned_configs} pruned by bound"
     )
-    if result.statistics.warm_start_hits:
-        print(
-            f"  warm start  : {result.statistics.warm_start_hits} hint(s) seeded "
-            f"in {1e3 * result.statistics.warm_seed_time:.1f} ms"
-        )
     if getattr(args, "explain_plan", False) and best.plan is not None:
         print(render_plan_phases(best.plan))
     if args.top_k > 1 and result.top_k:
@@ -467,7 +483,7 @@ def cmd_systems(args: argparse.Namespace) -> int:
         model,
         strategy=args.strategy,
         gpu_generations=args.generations.split(","),
-        nvs_domain_sizes=[int(x) for x in args.nvs_sizes.split(",")],
+        nvs_domain_sizes=args.nvs_sizes,
         n_gpus_list=args.gpus,
         global_batch_size=args.global_batch,
         space=_scenario_space(args),
@@ -492,7 +508,7 @@ def cmd_speedup(args: argparse.Namespace) -> int:
         variant_strategy=args.variant,
         baseline_strategy=args.strategy,
         gpu_generations=args.generations.split(","),
-        nvs_domain_sizes=[int(x) for x in args.nvs_sizes.split(",")],
+        nvs_domain_sizes=args.nvs_sizes,
         n_gpus_list=args.gpus,
         global_batch_size=args.global_batch,
         space=_scenario_space(args),
@@ -794,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", default="llama70b-serve", help="model preset name (legacy alias)")
     p.add_argument("--gpu", default="B200", help="GPU generation (A100/H200/B200)")
-    p.add_argument("--nvs", type=int, default=8, help="NVSwitch domain size")
+    p.add_argument("--nvs", type=_parse_nvs, default=8, help="NVSwitch domain size")
     p.add_argument("--gpus", type=int, default=8, help="number of GPUs")
     p.add_argument(
         "--objective",
@@ -877,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runtime_args(p)
     p.add_argument("--gpus", type=_parse_gpu_list, default="1024,4096,16384")
     p.add_argument("--generations", default="A100,H200,B200")
-    p.add_argument("--nvs-sizes", default="4,8,64")
+    p.add_argument("--nvs-sizes", type=_parse_nvs_sizes, default="4,8,64")
     p.set_defaults(func=cmd_systems)
 
     p = sub.add_parser(
@@ -888,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="summa", help="variant strategy (tp2d or summa)")
     p.add_argument("--gpus", type=_parse_gpu_list, default="1024,4096,16384")
     p.add_argument("--generations", default="A100,B200")
-    p.add_argument("--nvs-sizes", default="8,64")
+    p.add_argument("--nvs-sizes", type=_parse_nvs_sizes, default="8,64")
     p.set_defaults(func=cmd_speedup)
 
     p = sub.add_parser(
@@ -924,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--nvs",
-        type=int,
+        type=_parse_nvs,
         default=None,
         help="NVSwitch domain size for the grid (sim backend only; default 8)",
     )

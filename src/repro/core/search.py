@@ -810,11 +810,9 @@ def find_optimal_config(
     top_k: int = 0,
     fallback_activation_checkpointing: bool = True,
     backend: str = DEFAULT_BACKEND,
-    objective: str = TRAINING_OBJECTIVE,
-    serving=None,
     eval_mode: str = "scalar",
     warm_hints: Sequence = (),
-):
+) -> SearchResult:
     """Brute-force search for the fastest feasible configuration.
 
     ``strategy`` may be a single strategy name, a sequence of names, or
@@ -843,23 +841,11 @@ def find_optimal_config(
     the switch: :func:`repro.runtime.executor.solve_search_task` (and with
     it the CLI, the API and the analysis sweeps) picks batch for the
     analytic backend and scalar otherwise; the scalar default serves the
-    parity suites.  The serving objectives validate ``eval_mode`` but
-    ignore it: serving always prices per candidate.
+    parity suites.
 
     ``top_k`` is the size of the returned leaderboard (0: the winner only;
     1: the winner as a one-entry leaderboard, searched exactly like 0); a
     negative value raises :class:`ValueError`.
-
-    ``objective`` selects the execution regime.  The default
-    (:data:`TRAINING_OBJECTIVE`) minimises the training iteration time and
-    returns a :class:`SearchResult`.  The serving objectives
-    (``"throughput"``, ``"ttft"``, ``"tpot"`` — see
-    :mod:`repro.core.inference`) evaluate the same EP/TP/PP/DP space in
-    inference mode against the ``serving`` traffic description
-    (a :class:`~repro.core.inference.ServingSpec`, defaulted when omitted)
-    and return a :class:`~repro.core.inference.ServingSearchResult`;
-    ``global_batch_size``, ``strategy`` and the training-only knobs are
-    ignored there (serving models 1D TP with round-robin decode).
 
     ``warm_hints`` seeds the branch-and-bound: each hint (a
     :class:`ParallelConfig` or ``(config, assignment)`` tuple, typically a
@@ -890,23 +876,6 @@ def find_optimal_config(
     from repro.core import batch_eval
 
     eval_mode = batch_eval.validate_eval_mode(eval_mode, backend)
-    if objective != TRAINING_OBJECTIVE:
-        # Local import: repro.core.inference imports this module for the
-        # shared SearchStatistics, so the dependency must stay one-way.
-        from repro.core.inference import ServingSpec, find_serving_config
-
-        return find_serving_config(
-            model,
-            system,
-            n_gpus,
-            serving=serving if serving is not None else ServingSpec(),
-            objective=objective,
-            space=space,
-            options=options,
-            top_k=top_k,
-            backend=backend,
-            warm_hints=warm_hints,
-        )
     strategies = resolve_strategies(strategy)
     # The compute-only lower bound is provably admissible for the analytic
     # evaluation; a simulated bubble may legitimately undercut the closed

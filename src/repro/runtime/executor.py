@@ -11,8 +11,9 @@ they fan out perfectly across a :class:`concurrent.futures.ProcessPoolExecutor`.
 * **deterministic ordering** — results come back in submission order
   regardless of which worker finishes first, so a parallel sweep is
   bit-identical to a serial one;
-* **serial fallback** — ``jobs=1`` (the default), a failed pool start, or a
-  broken pool mid-flight all degrade to plain in-process execution;
+* **in-process fallback** — ``jobs=1`` (the default) never starts a pool,
+  and a pool that cannot run a batch is dropped while the batch finishes
+  in-process;
 * **progress callbacks** — an optional ``progress(done, total)`` hook fires
   as points complete (including cache hits), for long sweeps.
 
@@ -28,20 +29,14 @@ the seeds cost more time than the candidates they saved (see
 from __future__ import annotations
 
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config_space import (
-    DEFAULT_SEARCH_SPACE,
-    SearchSpace,
-    count_configurations,
-    gpu_assignments,
-    parallel_configs,
-)
+from repro.core.config_space import DEFAULT_SEARCH_SPACE, SearchSpace, count_configurations
 from repro.core.execution import DEFAULT_BACKEND, DEFAULT_OPTIONS, ModelingOptions, clear_caches
-from repro.core.inference import ServingSpec
+from repro.core.inference import ServingSpec, find_serving_config
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import (
@@ -60,11 +55,12 @@ ProgressCallback = Callable[[int, int], None]
 
 @dataclass(frozen=True)
 class SearchTask:
-    """One self-contained :func:`find_optimal_config` invocation.
+    """One self-contained search: training, serving or Pareto.
 
     The task carries *values*, not references to shared state, so it can be
     pickled to a worker process and fingerprinted by the cache.  It names
-    no pricer: :func:`solve_search_task` picks one from ``backend``.
+    neither solver nor pricer: :func:`solve_search_task` picks the solver
+    from ``objectives`` and ``objective`` and the pricer from ``backend``.
     """
 
     model: TransformerConfig
@@ -114,15 +110,6 @@ class SearchTask:
             object.__setattr__(self, "objectives", tuple(self.objectives))
 
 
-#: Relative per-candidate cost of the vectorized batch pricer versus the
-#: scalar oracle.  Batch mode prices ~5x faster per candidate
-#: (``scripts/perf_guard.py`` gates it at no less than 3x), so an analytic
-#: training task is a much *shorter* job than a ``sim`` or serving task of
-#: equal candidate count — LPT dispatch must know that or it misorders
-#: mixed task lists.
-_BATCH_MODE_COST_FACTOR = 0.2
-
-
 def _eval_mode(task: SearchTask) -> str:
     """The pricer of ``task``'s training or Pareto search.
 
@@ -133,95 +120,51 @@ def _eval_mode(task: SearchTask) -> str:
     return "batch" if task.backend == DEFAULT_BACKEND else "scalar"
 
 
-def _serving_task_candidates(task: SearchTask) -> int:
-    """Candidate count of a serving-objective task's *actual* enumeration.
+def estimate_task_cost(task: SearchTask) -> int:
+    """Estimated solve cost of ``task``: the size of its enumeration.
 
-    Serving searches do not run the training enumeration: they restrict to
-    the tp1d strategy, collapse the training-only axes (microbatch size,
-    schedule, interleaving — see
-    :func:`repro.core.inference._serving_space`) and apply the prompt's
-    tensor-parallel divisibility rules.  Counting the training space instead
-    (as this function's caller once did) overstated a serving task's cost by
-    the collapsed axes' product — enough to push every serving point to the
-    front of the longest-first dispatch order ahead of genuinely larger
-    training searches.
-    """
-    from repro.core.inference import ServingSpec, _serving_space
-
-    serving = task.serving if task.serving is not None else ServingSpec()
-    serving_space = _serving_space(task.space)
-    prefill_model = task.model.scaled(seq_len=serving.prompt_tokens)
-    total = 0
-    for config in parallel_configs(
-        prefill_model, task.n_gpus, task.n_gpus, "tp1d", serving_space
-    ):
-        total += len(
-            gpu_assignments(config, task.system.nvs_domain_size, serving_space)
-        )
-    return total
-
-
-def estimate_task_cost(task: SearchTask) -> float:
-    """Estimated solve cost of ``task`` (arbitrary units, larger = longer).
-
-    Counts the full (parallelization, NVS-assignment) candidate set the
-    task's solver actually enumerates: for training (and Pareto) tasks,
     :func:`repro.core.config_space.count_configurations` summed over the
-    task's strategies; for serving-objective tasks the post-filter tp1d
-    serving enumeration (:func:`_serving_task_candidates`) — the training
-    count would overstate serving work by the collapsed microbatch/schedule
-    axes.  The count of an analytic training or Pareto task is then scaled
-    by the batch pricer's per-candidate cost
-    (:data:`_BATCH_MODE_COST_FACTOR`): :func:`solve_search_task` prices it
-    in vectorized chunks, ~5x sooner than the per-candidate pricing of a
-    ``sim`` or serving task of the same size.  Used by
-    :meth:`SweepExecutor.run` to dispatch the longest searches first
-    (longest-processing-time order), so one huge GPU-count point submitted
-    last no longer serializes the tail of a sweep.  Falls back to the GPU
-    count, unscaled in either mode, for each strategy the enumeration
-    itself rejects (the solver will surface the real error).
+    task's strategies, with the GPU count standing in for each strategy the
+    enumeration itself rejects (the solver will surface the real error).
+    Used by :meth:`SweepExecutor.run` to dispatch the longest searches
+    first (longest-processing-time order), so one huge GPU-count point
+    submitted last does not serialize the tail of a sweep.
     """
-    counted = fallback = 0
-    serving = task.objective != TRAINING_OBJECTIVE and not task.objectives
-    if serving:
+    try:
+        strategies = resolve_strategies(task.strategy)
+    except ValueError:
+        strategies = ()
+    cost = 0
+    for strategy in strategies:
         try:
-            counted = _serving_task_candidates(task)
+            cost += count_configurations(
+                task.model,
+                task.n_gpus,
+                task.global_batch_size,
+                strategy,
+                task.system.nvs_domain_size,
+                task.space,
+            )[1]
         except (ValueError, KeyError):
-            fallback = task.n_gpus
-    else:
-        try:
-            strategies = resolve_strategies(task.strategy)
-        except ValueError:
-            strategies = ()
-        for strategy in strategies:
-            try:
-                _, n_candidates = count_configurations(
-                    task.model,
-                    task.n_gpus,
-                    task.global_batch_size,
-                    strategy,
-                    task.system.nvs_domain_size,
-                    task.space,
-                )
-                counted += n_candidates
-            except (ValueError, KeyError):
-                fallback += task.n_gpus
-    if not serving and _eval_mode(task) == "batch":
-        return float(counted) * _BATCH_MODE_COST_FACTOR + fallback
-    return float(counted + fallback)
+            cost += task.n_gpus
+    return cost
 
 
 def solve_search_task(task: SearchTask):
-    """Run the optimal-configuration search described by ``task``.
+    """Run the search described by ``task``: the one place a task picks its solver.
 
     Module-level (not a method) so :class:`ProcessPoolExecutor` can pickle
-    it.  Returns a :class:`~repro.core.search.SearchResult` for training
-    tasks, a :class:`~repro.core.inference.ServingSearchResult` for
-    serving-objective tasks and a :class:`~repro.core.search.ParetoResult`
-    for tasks with a non-empty ``objectives`` tuple.
+    it.  A task with a non-empty ``objectives`` tuple runs
+    :func:`~repro.core.search.find_pareto_configs` and returns a
+    :class:`~repro.core.search.ParetoResult`; a serving objective runs
+    :func:`~repro.core.inference.find_serving_config` (with the task's
+    ``warm_hints``) and returns a
+    :class:`~repro.core.inference.ServingSearchResult`; anything else runs
+    :func:`~repro.core.search.find_optimal_config` and returns a
+    :class:`~repro.core.search.SearchResult`.
 
-    This is the one place the pricer is chosen: training and Pareto tasks
-    on the analytic backend are priced by the vectorized
+    The pricer is chosen here too: training and Pareto tasks on the
+    analytic backend are priced by the vectorized
     :mod:`repro.core.batch_eval`, any other backend per candidate (the
     serving search always prices per candidate).  The answers are
     bit-identical either way; only the speed differs.
@@ -239,6 +182,19 @@ def solve_search_task(task: SearchTask):
             backend=task.backend,
             eval_mode=_eval_mode(task),
         )
+    if task.objective != TRAINING_OBJECTIVE:
+        return find_serving_config(
+            task.model,
+            task.system,
+            task.n_gpus,
+            serving=task.serving if task.serving is not None else ServingSpec(),
+            objective=task.objective,
+            space=task.space,
+            options=task.options,
+            top_k=task.top_k,
+            backend=task.backend,
+            warm_hints=task.warm_hints,
+        )
     return find_optimal_config(
         task.model,
         task.system,
@@ -249,8 +205,6 @@ def solve_search_task(task: SearchTask):
         options=task.options,
         top_k=task.top_k,
         backend=task.backend,
-        objective=task.objective,
-        serving=task.serving,
         eval_mode=_eval_mode(task),
         warm_hints=task.warm_hints,
     )
@@ -263,8 +217,8 @@ class SweepExecutor:
     ----------
     jobs:
         Worker-process count.  ``None`` or ``1`` runs serially in-process;
-        ``N > 1`` fans out across a :class:`ProcessPoolExecutor` (falling
-        back to serial execution if a pool cannot be started or breaks).
+        ``N > 1`` fans out across a :class:`ProcessPoolExecutor` of ``N``
+        workers.
     cache:
         Optional :class:`SearchCache` consulted by :meth:`run` before
         dispatching and updated with every solved point.
@@ -272,22 +226,20 @@ class SweepExecutor:
         Optional ``progress(done, total)`` callback.  :meth:`map` and
         :meth:`run` also accept a per-call ``progress=`` override, so one
         shared executor can report each caller's batch to that caller only.
-    persistent:
-        Keep one worker pool alive across :meth:`map`/:meth:`run` calls
-        instead of starting a fresh pool per batch.  This is what the
-        long-running API server uses: concurrent request threads are
-        multiplexed onto the same warm workers (``ProcessPoolExecutor`` is
-        thread-safe), amortizing process start-up across requests.  Call
-        :meth:`close` (or use the executor as a context manager) to release
-        the workers.
 
-    Workers start with cold memoization caches and share no search state,
+    The pool has one lifecycle: the first parallel batch starts it, later
+    batches reuse its workers, and :meth:`close` (or leaving a ``with``
+    block) shuts it down.  Workers start with cold memoization caches
+    (``clear_caches`` is the pool initializer) and share no search state,
     so a task is solved in a worker exactly as it would be in-process.
+    When the pool cannot run a batch — it cannot start, a submit fails, or
+    a worker dies — the executor drops it and finishes the batch
+    in-process; the next parallel batch starts a fresh pool.
 
-    One instance may be used from several threads concurrently: per-call
-    state (progress callbacks) is passed down the call chain rather than
-    stored on the instance, and pool creation/teardown is guarded by a
-    lock.
+    One instance may be used from several threads concurrently (the
+    planning API shares one across request threads): per-call state
+    (progress callbacks) is passed down the call chain rather than stored
+    on the instance, and pool creation and teardown are guarded by a lock.
     """
 
     def __init__(
@@ -296,52 +248,39 @@ class SweepExecutor:
         *,
         cache: Optional[SearchCache] = None,
         progress: Optional[ProgressCallback] = None,
-        persistent: bool = False,
     ):
         self.jobs = max(1, int(jobs)) if jobs else 1
         self.cache = cache
         self.progress = progress
-        self.persistent = bool(persistent)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _acquire_pool(self, n_items: int) -> Tuple[ProcessPoolExecutor, bool]:
-        """A pool to run one batch on, plus whether the *caller* owns it.
+    def _acquire_pool(self) -> ProcessPoolExecutor:
+        """The worker pool, started on first use.
 
-        Transient (per-batch) pools are sized to the batch; the persistent
-        pool is sized to ``jobs``, started once and reused.  Workers start
-        from a cold, explicitly bounded memoization state (``clear_caches``
-        covers every model-layer cache), so a long-lived worker's memory is
-        bounded by the caches' sizes rather than by whatever the parent had
-        accumulated.  Raises the ``ProcessPoolExecutor`` start-up errors of
-        the host (handled by :meth:`_map_parallel`'s serial fallback).
+        Raises the ``ProcessPoolExecutor`` start-up errors of the host
+        (handled by :meth:`_map_parallel`'s in-process fallback).
         """
-        if not self.persistent:
-            return (
-                ProcessPoolExecutor(
-                    max_workers=min(self.jobs, n_items), initializer=clear_caches
-                ),
-                True,
-            )
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.jobs, initializer=clear_caches
                 )
-            return self._pool, False
+            return self._pool
 
-    def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Drop a broken persistent pool so the next batch starts a new one."""
+    def _discard_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
+        """Drop a pool that failed a batch so the next batch starts a new one."""
         with self._pool_lock:
             if self._pool is pool:
                 self._pool = None
-        pool.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
-        """Shut down the persistent worker pool (no-op for per-batch pools)."""
+        """Shut down the worker pool, waiting for its workers to exit."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -367,11 +306,11 @@ class SweepExecutor:
     ) -> List:
         """Apply ``fn`` to every item, returning results in input order.
 
-        ``fn`` and the items must be picklable when ``jobs > 1``.  Failures
-        to run *in parallel* — worker processes cannot be started, or the
-        pool breaks mid-batch — degrade to serial execution of the items
-        that have not completed yet; exceptions raised by ``fn`` itself
-        always propagate.  ``progress`` overrides the instance-level
+        ``fn`` and the items must be picklable when ``jobs > 1``.  A failure
+        to run *in parallel* — the pool cannot start, a submit fails, or a
+        worker dies mid-batch — degrades to in-process execution of the
+        items whose results were not collected; exceptions raised by ``fn``
+        itself always propagate.  ``progress`` overrides the instance-level
         callback for this call only.
         """
         items = list(items)
@@ -409,57 +348,38 @@ class SweepExecutor:
         total: int,
         report: Optional[ProgressCallback],
     ) -> List:
-        try:
-            pool, owned = self._acquire_pool(len(items))
-        except (OSError, NotImplementedError, ImportError):
-            # This host cannot start worker processes at all (restricted
-            # sandbox, missing semaphores, ...): run everything in-process.
-            return self._map_serial(fn, items, done, total, report)
-
         results: List = [None] * len(items)
-        completed = [False] * len(items)
+        uncollected = dict(enumerate(items))
+        pool = None
         try:
+            pool = self._acquire_pool()
+            futures = {pool.submit(fn, item): idx for idx, item in enumerate(items)}
+        except (OSError, NotImplementedError, ImportError, RuntimeError):
+            # The pool could not start (no fork, no semaphores, ...) or could
+            # not take the batch (broken, or shut down under us).
             futures = {}
-            try:
-                for idx, item in enumerate(items):
-                    futures[pool.submit(fn, item)] = idx
-            except (OSError, RuntimeError):
-                # Worker processes could not be forked, or a shared
-                # persistent pool was shut down under us (distinct from fn
-                # raising, which surfaces via fut.result() below): drop the
-                # pool and run everything in-process.
-                for fut in futures:
-                    fut.cancel()
-                if not owned:
-                    self._discard_pool(pool)
-                return self._map_serial(fn, items, done, total, report)
-            try:
-                pending = set(futures)
-                while pending:
-                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        idx = futures[fut]
-                        # fn's own exceptions re-raise here and propagate.
-                        results[idx] = fut.result()
-                        completed[idx] = True
-                        done += 1
-                        self._report(done, total, report)
-            except BrokenProcessPool:
-                # A worker died mid-batch: keep every completed result and
-                # finish only the incomplete items serially, so no work is
-                # repeated and progress stays monotonic.  A broken
-                # persistent pool is discarded so later batches recover.
-                if not owned:
-                    self._discard_pool(pool)
-                for idx, item in enumerate(items):
-                    if not completed[idx]:
-                        results[idx] = fn(item)
-                        completed[idx] = True
-                        done += 1
-                        self._report(done, total, report)
+        try:
+            for fut in as_completed(futures):
+                if isinstance(fut.exception(), BrokenProcessPool):
+                    continue  # a worker died: the item is finished below
+                idx = futures[fut]
+                results[idx] = fut.result()  # fn's own exceptions propagate
+                del uncollected[idx]
+                done += 1
+                self._report(done, total, report)
         finally:
-            if owned:
-                pool.shutdown(wait=False, cancel_futures=True)
+            # Once fn has raised, the batch's queued items need not run.
+            for fut in futures:
+                fut.cancel()
+        if uncollected:
+            # The one fallback: drop the pool and finish in-process, in
+            # input order, exactly the items whose results were not
+            # collected, so progress stays monotonic up to the total.
+            self._discard_pool(pool)
+            for idx, item in uncollected.items():
+                results[idx] = fn(item)
+                done += 1
+                self._report(done, total, report)
         return results
 
     # ------------------------------------------------------------------

@@ -10,9 +10,10 @@ pieces of process-wide state:
   content hashes of *all* task inputs, so serving a cached result to any
   requester is always correct, and repeated requests never touch the
   engine (or, for reads, the disk) again;
-* a shared :class:`~repro.runtime.executor.SweepExecutor` with a
-  persistent worker pool — concurrent requests multiplex their engine
-  solves onto the same warm workers;
+* a shared :class:`~repro.runtime.executor.SweepExecutor` — its worker
+  pool starts with the first parallel batch and stays up until
+  :meth:`PlannerApp.close`, so concurrent requests multiplex their engine
+  solves onto the same workers;
 * an **in-flight table** deduplicating identical concurrent searches: the
   first request of a fingerprint becomes the *owner* and runs the solve,
   every later identical request attaches to the owner's future and waits —
@@ -92,7 +93,7 @@ class PlannerApp:
         solver: Callable[[SearchTask], Any] = None,
     ):
         self.cache = SearchCache(cache_path)
-        self.executor = SweepExecutor(jobs, persistent=True)
+        self.executor = SweepExecutor(jobs)
         self._solver = solver
         self._lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}

@@ -178,6 +178,32 @@ class TestGridCommandsTakeNoSingleSystem:
         assert "unrecognized arguments" in err and flag in err
 
 
+class TestNvsValidation:
+    """A domain size below one or not an integer is an argparse usage error
+    naming the flag: exit 2, no traceback, nothing solved."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--nvs", "0"],
+            ["pareto", "--nvs", "0"],
+            ["serve", "--nvs", "0"],
+            ["scaling", "--gpus", "64", "--nvs", "0"],
+            ["systems", "--gpus", "64", "--nvs-sizes", "0"],
+            ["speedup", "--gpus", "64", "--nvs-sizes", "abc"],
+            ["validate", "--backend", "sim", "--nvs", "0"],
+        ],
+        ids=["search", "pareto", "serve", "scaling", "systems", "speedup", "validate"],
+    )
+    def test_bad_domain_size_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[-2]}:" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestGpuListParsing:
     def test_commas_whitespace_and_duplicates(self):
         from repro.cli import _parse_gpu_list

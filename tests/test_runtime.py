@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.model import GPT3_1T, VIT_LONG_SEQ, TransformerConfig
 from repro.core.search import SearchStatistics, adapt_warm_hints, find_optimal_config
 from repro.core.system import make_system
 from repro.runtime import SearchCache, SearchTask, SweepExecutor, solve_search_task
+from repro.runtime import executor as executor_module
 from repro.runtime.executor import estimate_task_cost
 from repro.utils.serialization import dataclass_from_jsonable, to_jsonable
 
@@ -46,6 +48,34 @@ def _task(system, n_gpus, **overrides):
 
 def _square(x):
     return x * x
+
+
+#: Items ``_square_or_die`` squared in the test process itself.
+_RAN_HERE = []
+
+
+def _square_or_die(item):
+    """Square ``x``; a worker (any process but ``parent``) dies on ``doomed``.
+
+    The pid guard keeps the in-process re-run of the doomed item from
+    ending the test process.
+    """
+    x, parent, doomed = item
+    if os.getpid() == parent:
+        _RAN_HERE.append(x)
+    elif x == doomed:
+        os._exit(1)
+    return x * x
+
+
+def _fail_on_three(x):
+    if x == 3:
+        raise RuntimeError("fn failed on 3")
+    return x * x
+
+
+def _worker_pid(_):
+    return os.getpid()
 
 
 def _stub_result(task):
@@ -80,13 +110,15 @@ def _cross_process_writer(path, gpu_counts, barrier):
 class TestSweepExecutor:
     def test_map_preserves_input_order(self):
         items = [5, 3, 1, 4, 2]
-        assert SweepExecutor(2).map(_square, items) == [25, 9, 1, 16, 4]
+        with SweepExecutor(2) as executor:
+            assert executor.map(_square, items) == [25, 9, 1, 16, 4]
         assert SweepExecutor(1).map(_square, items) == [25, 9, 1, 16, 4]
 
     def test_parallel_run_identical_to_serial(self, b200):
         tasks = [_task(b200, n) for n in (128, 256, 512)]
         serial = SweepExecutor(1).run(tasks)
-        parallel = SweepExecutor(3).run(tasks)
+        with SweepExecutor(3) as executor:
+            parallel = executor.run(tasks)
         # Bit-identical SearchResult trees, statistics included.
         assert serial == parallel
 
@@ -138,6 +170,12 @@ class TestSweepExecutor:
         bad = _task(b200, 256, strategy="no-such-strategy")
         assert estimate_task_cost(bad) == 256.0
 
+    def test_pareto_tasks_price_like_training(self, b200):
+        """A Pareto task enumerates the full training space."""
+        training = _task(b200, 256)
+        pareto = _task(b200, 256, objectives=("time", "cost"))
+        assert estimate_task_cost(pareto) == estimate_task_cost(training)
+
     def test_lpt_dispatch_preserves_results_and_order(self, b200):
         dispatched = []
 
@@ -158,8 +196,78 @@ class TestSweepExecutor:
         bad = _task(b200, 128, strategy=())
         with pytest.raises(ValueError):
             SweepExecutor(1).run([bad])
-        with pytest.raises(ValueError):
-            SweepExecutor(2).run([bad, _task(b200, 128)])
+        with SweepExecutor(2) as executor, pytest.raises(ValueError):
+            executor.run([bad, _task(b200, 128)])
+
+
+class TestPoolFailures:
+    """A pool that cannot run a batch is dropped and the batch finishes
+    in-process: the serial results in input order, progress monotonic up to
+    the total, and a fresh pool for the next batch.  ``fn``'s own errors
+    propagate and leave the pool in place."""
+
+    ITEMS = [1, 2, 3, 4, 5, 6]
+
+    def _map(self, executor, doomed=None):
+        """Map ``ITEMS`` and check the answer; return the items run here."""
+        _RAN_HERE.clear()
+        seen = []
+        items = [(x, os.getpid(), doomed) for x in self.ITEMS]
+        results = executor.map(
+            _square_or_die, items, progress=lambda done, total: seen.append((done, total))
+        )
+        assert results == [x * x for x in self.ITEMS]
+        assert seen == [(done, len(items)) for done in range(1, len(items) + 1)]
+        assert _RAN_HERE == sorted(_RAN_HERE)  # the fallback runs in input order
+        return list(_RAN_HERE)
+
+    def test_pool_that_cannot_start(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("cannot start worker processes")
+
+        with SweepExecutor(2) as executor:
+            monkeypatch.setattr(executor_module, "ProcessPoolExecutor", refuse)
+            assert self._map(executor) == self.ITEMS
+            assert executor._pool is None
+            monkeypatch.undo()
+            assert self._map(executor) == []
+            assert executor._pool is not None
+
+    def test_worker_that_dies_mid_batch(self):
+        with SweepExecutor(2) as executor:
+            executor.map(_square, [1, 2])
+            broken = executor._pool
+            ran_here = self._map(executor, doomed=3)
+            assert 3 in ran_here
+            assert executor._pool is None
+            assert self._map(executor) == []
+            assert executor._pool not in (None, broken)
+
+    def test_pool_shut_down_before_the_next_batch(self):
+        with SweepExecutor(2) as executor:
+            executor.map(_square, [1, 2])
+            closed = executor._pool
+            closed.shutdown()
+            assert self._map(executor) == self.ITEMS
+            assert executor._pool is None
+            assert self._map(executor) == []
+            assert executor._pool not in (None, closed)
+
+    def test_fn_runtime_error_propagates_and_keeps_the_pool(self):
+        with SweepExecutor(2) as executor:
+            executor.map(_square, [1, 2])
+            pool = executor._pool
+            with pytest.raises(RuntimeError, match="fn failed on 3"):
+                executor.map(_fail_on_three, self.ITEMS)
+            assert executor._pool is pool
+            assert executor.map(_square, [3, 4]) == [9, 16]
+            assert executor._pool is pool
+
+    def test_no_worker_outlives_the_with_block(self):
+        with SweepExecutor(2) as executor:
+            pids = set(executor.map(_worker_pid, range(8)))
+        assert pids and os.getpid() not in pids
+        assert not pids & {child.pid for child in multiprocessing.active_children()}
 
 
 class TestSearchCache:
@@ -495,7 +603,8 @@ class TestBatchEvalExecutor:
             _task(b200, n, strategy="all") for n in (512, 1024)
         ]
         serial = SweepExecutor(jobs=1).run(tasks)
-        parallel = SweepExecutor(jobs=2).run(tasks)
+        with SweepExecutor(jobs=2) as executor:
+            parallel = executor.run(tasks)
         direct = [solve_search_task(t) for t in tasks]
         for s, p, d in zip(serial, parallel, direct):
             assert s.best is not None and s == p == d

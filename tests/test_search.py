@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config_space import SearchSpace
 from repro.core.execution import ModelingOptions
+from repro.core.inference import ServingSpec, find_serving_config
 from repro.core.model import GPT3_1T, VIT_LONG_SEQ
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import (
@@ -81,7 +82,12 @@ class TestFindOptimalConfig:
     @pytest.mark.parametrize("objective", ["iteration", "throughput"])
     def test_negative_top_k_rejected(self, b200, objective):
         with pytest.raises(ValueError, match="top_k must be >= 0"):
-            find_optimal_config(GPT3_1T, b200, 256, 4096, top_k=-1, objective=objective)
+            if objective == "iteration":
+                find_optimal_config(GPT3_1T, b200, 256, 4096, top_k=-1)
+            else:
+                find_serving_config(
+                    GPT3_1T, b200, 256, serving=ServingSpec(), objective=objective, top_k=-1
+                )
 
     def test_empty_strategy_list_rejected(self, b200):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from repro.core.model import TransformerConfig
 from repro.core.search import find_optimal_config
 from repro.core.system import make_system
 from repro.core.workloads import get_workload
-from repro.runtime import SearchCache, SearchTask, SweepExecutor
+from repro.runtime import SearchCache, SearchTask, SweepExecutor, solve_search_task
 from repro.utils.serialization import dataclass_from_jsonable, to_jsonable
 
 TINY = TransformerConfig(
@@ -133,22 +133,25 @@ class TestBranchAndBoundInvariant:
 
 
 class TestObjectiveThreading:
-    """``find_optimal_config`` gains the serving objectives."""
+    """``solve_search_task`` sends a serving objective to the serving search."""
 
     def test_serving_objective_delegates(self):
-        result = find_optimal_config(
-            TINY, SYSTEM, 16, 1024, objective="throughput", serving=SPEC
+        task = SearchTask(
+            model=TINY, system=SYSTEM, n_gpus=16, global_batch_size=1024,
+            objective="throughput", serving=SPEC,
         )
+        result = solve_search_task(task)
         assert isinstance(result, ServingSearchResult)
         assert result.objective == "throughput"
-        direct = find_serving_config(TINY, SYSTEM, 16, serving=SPEC)
-        assert result.best.config == direct.best.config
+        assert result == find_serving_config(TINY, SYSTEM, 16, serving=SPEC)
 
     def test_default_objective_still_returns_training_result(self):
         from repro.core.search import SearchResult
 
-        result = find_optimal_config(TINY, SYSTEM, 16, 64)
+        task = SearchTask(model=TINY, system=SYSTEM, n_gpus=16, global_batch_size=64)
+        result = solve_search_task(task)
         assert isinstance(result, SearchResult)
+        assert result == find_optimal_config(TINY, SYSTEM, 16, 64)
 
 
 class TestServingPresets:
@@ -233,44 +236,40 @@ class TestServingTasksAndCache:
 
 
 class TestServingBatchEvalMode:
-    """``find_optimal_config``'s library ``eval_mode`` switch under a
-    serving objective: validated like the training search's, then ignored
-    (the serving search prices per candidate and takes no ``eval_mode``),
-    so the whole result — estimates AND diagnostics counters — is the same
-    in both modes, pruned or exhaustive."""
+    """A serving task on the analytic backend, where ``solve_search_task``
+    gives training tasks the batch pricer, runs the per-candidate serving
+    search (which takes no ``eval_mode``), so the whole result — estimates
+    AND diagnostics counters — equals a direct ``find_serving_config``
+    call, pruned or exhaustive."""
 
     @staticmethod
     def _solve(model=TINY, **kwargs):
         kwargs.setdefault("objective", "throughput")
-        return find_optimal_config(model, SYSTEM, 16, 1, serving=SPEC, **kwargs)
+        return solve_search_task(
+            SearchTask(
+                model=model, system=SYSTEM, n_gpus=16, global_batch_size=1,
+                serving=SPEC, **kwargs,
+            )
+        )
 
     @pytest.mark.parametrize("objective", ["throughput", "ttft", "tpot"])
     def test_batch_identical_to_scalar_including_statistics(self, objective):
-        scalar = self._solve(objective=objective, eval_mode="scalar")
-        batch = self._solve(objective=objective, eval_mode="batch")
-        assert batch == scalar  # full dataclass equality, statistics included
+        batch = self._solve(objective=objective)
+        # Full dataclass equality, statistics included.
         assert batch == find_serving_config(
             TINY, SYSTEM, 16, serving=SPEC, objective=objective
         )
 
     @pytest.mark.parametrize("model", [TINY, TINY_MOE])
     def test_pruned_batch_equals_exhaustive_batch(self, model):
-        pruned = self._solve(model, eval_mode="batch")
-        exhaustive = self._solve(model, space=NO_PRUNE, eval_mode="batch")
+        pruned = self._solve(model)
+        exhaustive = self._solve(model, space=NO_PRUNE)
         assert pruned.best == exhaustive.best
 
     def test_batch_topk_identical_to_scalar(self):
-        scalar = self._solve(top_k=4, eval_mode="scalar")
-        batch = self._solve(top_k=4, eval_mode="batch")
+        batch = self._solve(top_k=4)
+        scalar = find_serving_config(TINY, SYSTEM, 16, serving=SPEC, top_k=4)
         assert batch.top_k == scalar.top_k
-
-    def test_batch_requires_analytic_backend(self):
-        with pytest.raises(ValueError, match="eval_mode='batch'"):
-            self._solve(eval_mode="batch", backend="sim")
-
-    def test_unknown_eval_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="eval_mode"):
-            self._solve(eval_mode="simd")
 
     def test_serving_search_takes_no_eval_mode(self):
         with pytest.raises(TypeError, match="eval_mode"):

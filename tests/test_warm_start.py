@@ -25,7 +25,6 @@ from repro.core.search import MAX_WARM_HINTS, adapt_warm_hints, find_optimal_con
 from repro.core.system import make_system
 from repro.runtime import SearchCache, SearchTask, solve_search_task
 from repro.runtime.cache import reduced_fingerprint
-from repro.runtime.executor import estimate_task_cost
 
 TINY = TransformerConfig(
     name="tiny", seq_len=1024, embed_dim=2048, num_heads=16, kv_heads=4, depth=16
@@ -138,8 +137,11 @@ class TestWarmEqualsColdTraining:
 class TestWarmEqualsColdServing:
     """Serving-objective searches honour the same identity contract.
 
-    They run through :func:`find_optimal_config`, which forwards the hints
-    to the serving search and ignores either library ``eval_mode`` there.
+    The serving search has no ``eval_mode``, but its prefill reads the
+    stage-time and workload memo that both training pricers fill.  A
+    training search of the same model and system, priced by ``eval_mode``,
+    runs between the cold and the warm solve, as it can in one sweep or
+    API process, and must move neither answer.
     """
 
     @pytest.mark.parametrize("eval_mode", ["scalar", "batch"])
@@ -149,10 +151,15 @@ class TestWarmEqualsColdServing:
             TINY, SERVE_SYSTEM, 32, serving=SERVE_SPEC, objective=objective
         )
         assert donor.found
-        kwargs = dict(serving=SERVE_SPEC, objective=objective, eval_mode=eval_mode)
-        cold = find_optimal_config(TINY, SERVE_SYSTEM, 16, 1, **kwargs)
-        warm = find_optimal_config(
-            TINY, SERVE_SYSTEM, 16, 1, warm_hints=(donor.best.config,), **kwargs
+        kwargs = dict(serving=SERVE_SPEC, objective=objective)
+        cold = find_serving_config(TINY, SERVE_SYSTEM, 16, **kwargs)
+        training = find_optimal_config(
+            TINY, SERVE_SYSTEM, n_gpus=16, global_batch_size=64,
+            eval_mode=eval_mode,
+        )
+        assert training.found
+        warm = find_serving_config(
+            TINY, SERVE_SYSTEM, 16, warm_hints=(donor.best.config,), **kwargs
         )
         assert cold == warm
         assert cold.best.config == warm.best.config
@@ -260,56 +267,6 @@ def _task(system, n_gpus, **overrides):
     )
     kwargs.update(overrides)
     return SearchTask(**kwargs)
-
-
-class TestEstimateTaskCost:
-    def test_batch_mode_is_cheaper_than_scalar(self, b200):
-        """An analytic task is batch-priced, a ``sim`` one per candidate."""
-        scalar = estimate_task_cost(_task(b200, 256, backend="sim"))
-        batch = estimate_task_cost(_task(b200, 256))
-        assert batch == pytest.approx(0.2 * scalar)
-        assert batch < scalar
-
-    def test_bad_task_fallback_ignores_eval_mode_scaling(self, b200):
-        bad = _task(b200, 256, strategy="no-such-strategy")
-        assert estimate_task_cost(bad) == 256.0
-        # The GPU-count fallback is not a candidate count: no batch discount.
-        bad_sim = _task(b200, 256, strategy="no-such-strategy", backend="sim")
-        assert estimate_task_cost(bad_sim) == 256.0
-
-    def test_serving_cost_counts_the_serving_enumeration(self, b200):
-        """A serving task is priced by what its solver enumerates: the
-        post-filter tp1d serving space at the prompt's sequence length."""
-        from repro.core.config_space import gpu_assignments
-        from repro.core.inference import _serving_space
-
-        spec = ServingSpec(arrival_rate=8.0, prompt_tokens=512, output_tokens=64)
-        task = _task(b200, 256, objective="throughput", serving=spec)
-        serving_space = _serving_space(task.space)
-        prefill = task.model.scaled(seq_len=spec.prompt_tokens)
-        expected = sum(
-            len(gpu_assignments(c, b200.nvs_domain_size, serving_space))
-            for c in parallel_configs(prefill, 256, 256, "tp1d", serving_space)
-        )
-        assert expected > 0
-        assert estimate_task_cost(task) == float(expected)
-
-    def test_serving_no_longer_outranks_training_in_lpt_order(self, b200):
-        """Pricing serving work off the *training* enumeration overstated it
-        by the collapsed microbatch/schedule axes, pushing every serving
-        point ahead of genuinely larger training searches in the
-        longest-first dispatch order.  The training task runs on ``sim`` so
-        that both are priced per candidate (an analytic one is batch-priced
-        and discounted)."""
-        serving = _task(b200, 256, objective="throughput", serving=ServingSpec())
-        training = _task(b200, 256, backend="sim")
-        assert estimate_task_cost(serving) < estimate_task_cost(training)
-
-    def test_pareto_tasks_price_like_training(self, b200):
-        """A Pareto task enumerates the full training space."""
-        training = _task(b200, 256)
-        pareto = _task(b200, 256, objectives=("time", "cost"))
-        assert estimate_task_cost(pareto) == estimate_task_cost(training)
 
 
 class TestHintIndex:
