@@ -70,6 +70,7 @@ from repro.analysis.sweeps import scaling_sweep, system_grid_sweep
 from repro.analysis.validation import run_validation
 from repro.core.backends import DEFAULT_BACKEND as DEFAULT_EVAL_BACKEND
 from repro.core.backends import available_backends
+from repro.core.collectives import SUPPORTED_COLLECTIVES
 from repro.core.config_space import DEFAULT_SEARCH_SPACE, SearchSpace
 from repro.core.execution import DEFAULT_OPTIONS, ModelingOptions
 from repro.core.inference import (
@@ -83,7 +84,7 @@ from repro.core.schedules import (
     available_schedules,
     get_schedule,
 )
-from repro.core.system import make_perlmutter, make_system
+from repro.core.system import PERLMUTTER_NVLINK_GPUS, make_perlmutter, make_system
 from repro.core.workloads import available_workloads, get_workload, scenario_space
 from repro.runtime import SearchCache, SearchTask, solve_search_task
 from repro.simulate.cluster import ClusterTopology
@@ -166,6 +167,22 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _gpu_count(text: str, where: str) -> int:
+    """One GPU count, an integer >= 1; ``where`` names the list it came from."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid GPU count {text!r}{where}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"GPU counts must be >= 1, got {value}{where}")
+    return value
+
+
+def _parse_gpu_count(text: str) -> int:
+    """Parse one ``--gpus`` count; a bad count is a usage error (exit 2)."""
+    return _gpu_count(text, "")
+
+
 def _parse_gpu_list(text: str) -> List[int]:
     """Parse a comma/whitespace-separated GPU-count list.
 
@@ -176,16 +193,7 @@ def _parse_gpu_list(text: str) -> List[int]:
     gpus: List[int] = []
     seen = set()
     for tok in text.replace(",", " ").split():
-        try:
-            value = int(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid GPU count {tok!r} in --gpus list {text!r}"
-            ) from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"GPU counts must be >= 1, got {value} in --gpus list {text!r}"
-            )
+        value = _gpu_count(tok, f" in --gpus list {text!r}")
         if value not in seen:
             seen.add(value)
             gpus.append(value)
@@ -456,18 +464,22 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     system = make_system(args.gpu, args.nvs)
     cache = _make_cache(args)
-    sweep = scaling_sweep(
-        model,
-        system,
-        strategy=args.strategy,
-        n_gpus_list=args.gpus,
-        global_batch_size=args.global_batch,
-        space=_scenario_space(args),
-        options=_scenario_options(args),
-        backend=args.backend,
-        jobs=args.jobs,
-        cache=cache,
-    )
+    try:
+        sweep = scaling_sweep(
+            model,
+            system,
+            strategy=args.strategy,
+            n_gpus_list=args.gpus,
+            global_batch_size=args.global_batch,
+            space=_scenario_space(args),
+            options=_scenario_options(args),
+            backend=args.backend,
+            jobs=args.jobs,
+            cache=cache,
+        )
+    except ValueError as exc:
+        print(f"repro-perf: error: {exc}", file=sys.stderr)
+        return 2
     _report_cache(cache)
     print(render_scaling_sweep(sweep))
     if args.json and not _dump_json_report([p.result.summary() for p in sweep.points], args.json):
@@ -479,19 +491,23 @@ def cmd_systems(args: argparse.Namespace) -> int:
     """Training days across the system grid, Fig. 5 (``repro-perf systems``)."""
     model = _resolve_model(args)
     cache = _make_cache(args)
-    series = system_grid_sweep(
-        model,
-        strategy=args.strategy,
-        gpu_generations=args.generations.split(","),
-        nvs_domain_sizes=args.nvs_sizes,
-        n_gpus_list=args.gpus,
-        global_batch_size=args.global_batch,
-        space=_scenario_space(args),
-        options=_scenario_options(args),
-        backend=args.backend,
-        jobs=args.jobs,
-        cache=cache,
-    )
+    try:
+        series = system_grid_sweep(
+            model,
+            strategy=args.strategy,
+            gpu_generations=args.generations.split(","),
+            nvs_domain_sizes=args.nvs_sizes,
+            n_gpus_list=args.gpus,
+            global_batch_size=args.global_batch,
+            space=_scenario_space(args),
+            options=_scenario_options(args),
+            backend=args.backend,
+            jobs=args.jobs,
+            cache=cache,
+        )
+    except ValueError as exc:
+        print(f"repro-perf: error: {exc}", file=sys.stderr)
+        return 2
     _report_cache(cache)
     print(render_system_grid(series, model.name))
     if args.json and not _dump_json_report(series, args.json):
@@ -503,20 +519,24 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     """2D TP speedups over 1D TP, Fig. A4 (``repro-perf speedup``)."""
     model = _resolve_model(args)
     cache = _make_cache(args)
-    points = speedup_sweep(
-        model,
-        variant_strategy=args.variant,
-        baseline_strategy=args.strategy,
-        gpu_generations=args.generations.split(","),
-        nvs_domain_sizes=args.nvs_sizes,
-        n_gpus_list=args.gpus,
-        global_batch_size=args.global_batch,
-        space=_scenario_space(args),
-        options=_scenario_options(args),
-        backend=args.backend,
-        jobs=args.jobs,
-        cache=cache,
-    )
+    try:
+        points = speedup_sweep(
+            model,
+            variant_strategy=args.variant,
+            baseline_strategy=args.strategy,
+            gpu_generations=args.generations.split(","),
+            nvs_domain_sizes=args.nvs_sizes,
+            n_gpus_list=args.gpus,
+            global_batch_size=args.global_batch,
+            space=_scenario_space(args),
+            options=_scenario_options(args),
+            backend=args.backend,
+            jobs=args.jobs,
+            cache=cache,
+        )
+    except ValueError as exc:
+        print(f"repro-perf: error: {exc}", file=sys.stderr)
+        return 2
     _report_cache(cache)
     print(render_speedups(points))
     if args.json and not _dump_json_report(points, args.json):
@@ -647,16 +667,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_collectives(args: argparse.Namespace) -> int:
     """Analytic vs simulated collective times, Fig. A1 (``repro-perf collectives``)."""
     system = make_perlmutter(args.nvlink)
-    topology = ClusterTopology.from_system(system, args.gpus)
     volumes = [2.0**exp * 1e6 for exp in range(0, 14)]
-    results = sweep_volumes(
-        args.collective,
-        volumes,
-        topology,
-        system.network,
-        group_size=args.gpus,
-        gpus_per_nvs_domain=args.nvlink,
-    )
+    try:
+        topology = ClusterTopology.from_system(system, args.gpus)
+        results = sweep_volumes(
+            args.collective,
+            volumes,
+            topology,
+            system.network,
+            group_size=args.gpus,
+            gpus_per_nvs_domain=args.nvlink,
+        )
+    except ValueError as exc:
+        print(f"repro-perf: error: {exc}", file=sys.stderr)
+        return 2
     rows = [
         [r.volume_bytes / 1e9, r.simulated_time, r.analytic_time, 100 * r.relative_error]
         for r in results
@@ -986,9 +1010,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedules)
 
     p = sub.add_parser("collectives", help="analytic vs simulated collective times (Fig. A1)")
-    p.add_argument("--gpus", type=int, default=32)
-    p.add_argument("--nvlink", type=int, default=4, help="GPUs per node in the fast domain (2 or 4)")
-    p.add_argument("--collective", default="all_gather")
+    p.add_argument("--gpus", type=_parse_gpu_count, default=32, help="group size (>= 1)")
+    p.add_argument(
+        "--nvlink",
+        type=int,
+        choices=PERLMUTTER_NVLINK_GPUS,
+        default=4,
+        help="GPUs per node in the fast domain (1, 2 or 4)",
+    )
+    p.add_argument("--collective", choices=SUPPORTED_COLLECTIVES, default="all_gather")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_collectives)
 

@@ -3,10 +3,11 @@
 The scalar evaluation path prices one ``(ParallelConfig, GpuAssignment)``
 candidate per :func:`~repro.core.execution.evaluate_config` call — thousands
 of Python object constructions per search.  This module prices a whole
-batch (a search chunk) as NumPy array programs instead.  Each candidate is
-one *lane*: its integer axes (pipeline and DP degrees, microbatch count,
-schedule, virtual stages, NVS assignment) are packed into one int64 lane
-matrix.  Lanes are grouped by the *structure* of their stage key — the
+batch (a search chunk) as NumPy array programs instead.  The batch arrives
+one parallelization at a time (:class:`CandidateBlocks`: each config over
+the matrix of its NVS assignments), and each candidate is one *lane*: its
+integer axes (pipeline and DP degrees, microbatch count, schedule, virtual
+stages, NVS assignment) are packed into one int64 lane matrix.  Lanes are grouped by the *structure* of their stage key — the
 ordered collectives, SUMMA records and DP sync groups, which one model and
 strategy share across every microbatch size, TP factorization, panel count
 and EP degree — and each group is priced as one program: the per-key
@@ -51,6 +52,13 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.core.collectives import _BANDWIDTH_MULTIPLIER, POINT_TO_POINT
+from repro.core.config_space import (
+    ASSIGNMENT_CACHE_SIZE,
+    DEFAULT_SEARCH_SPACE,
+    SearchSpace,
+    _assignments,
+    default_assignment,
+)
 from repro.core.execution import (
     DEFAULT_BACKEND,
     ModelingOptions,
@@ -68,7 +76,6 @@ from repro.core.parallelism.base import (
     GROUP_PP,
     GROUP_TP1,
     GROUP_TP2,
-    GpuAssignment,
     ParallelConfig,
 )
 from repro.core.parallelism.data_parallel import (
@@ -82,6 +89,8 @@ from repro.core.system import GpuSpec, NetworkSpec, SystemSpec
 __all__ = [
     "EVAL_MODES",
     "BatchBreakdown",
+    "CandidateBlocks",
+    "assignment_matrix",
     "batch_candidate_breakdowns",
     "batch_candidate_times",
     "non_dominated_mask",
@@ -189,7 +198,7 @@ class BatchBreakdown:
         return len(self.total)
 
 
-#: Rows of the lane matrix (:func:`_pack_lanes`), one column per candidate:
+#: Rows of the lane matrix (:func:`_pack_blocks`), one column per candidate:
 #: the stage key index, the ``(schedule, virtual stages)`` index, the
 #: pipeline and data-parallel degrees, the virtual stages, the microbatch
 #: count and the four NVS assignment factors.
@@ -200,32 +209,86 @@ _KEY, _SV, _NP, _ND, _V, _M, _NVS_TP1, _NVS_TP2, _NVS_PP, _NVS_DP = range(10)
 _StageKey = Tuple[str, int, int, int, int, int]
 
 
-def _pack_lanes(
-    candidates: Sequence[Tuple[ParallelConfig, GpuAssignment]], global_batch_size: int
+@register_cache("assignment_matrix")
+@lru_cache(maxsize=ASSIGNMENT_CACHE_SIZE)
+def _assignment_matrix(tp1: int, tp2: int, pp: int, dp: int, nvs_domain_size: int) -> np.ndarray:
+    """``config_space._assignments`` of one group shape as an int64 matrix."""
+    matrix = np.array(
+        [assignment.as_tuple() for assignment in _assignments(tp1, tp2, pp, dp, nvs_domain_size)],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    matrix.setflags(write=False)  # every caller shares the memoized matrix
+    return matrix
+
+
+def assignment_matrix(
+    config: ParallelConfig, nvs_domain_size: int, space: SearchSpace = DEFAULT_SEARCH_SPACE
+) -> np.ndarray:
+    """:func:`~repro.core.config_space.gpu_assignments` as an ``(n, 4)`` matrix.
+
+    Row ``i`` is assignment ``i``'s NVS factors ``(nvs_tp1, nvs_tp2, nvs_pp,
+    nvs_dp)``.  The matrix of a searched space is memoized per group shape
+    and read-only.
+    """
+    if not space.search_gpu_assignment:
+        return np.array([default_assignment(config, nvs_domain_size).as_tuple()], dtype=np.int64)
+    return _assignment_matrix(
+        config.tensor_parallel_1,
+        config.tensor_parallel_2,
+        config.pipeline_parallel,
+        config.data_parallel,
+        nvs_domain_size,
+    )
+
+
+class CandidateBlocks:
+    """A batch of candidates, packed one parallelization at a time.
+
+    Block ``i`` is ``configs[i]`` under every row of ``assignments[i]``, an
+    ``(n_i, 4)`` integer matrix of NVS factors such as
+    :func:`assignment_matrix` returns.  Candidates are ordered block by
+    block, and ``len()`` counts them.
+    """
+
+    def __init__(self, configs: Sequence[ParallelConfig], assignments: Sequence) -> None:
+        self.configs = configs
+        self.assignments = assignments
+        self.sizes = np.fromiter(map(len, assignments), dtype=np.int64, count=len(assignments))
+
+    def __len__(self) -> int:
+        return int(self.sizes.sum())
+
+    def positions(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(block index, row index)`` of every candidate, in candidate order."""
+        block = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        starts = np.cumsum(self.sizes) - self.sizes
+        return block, np.arange(len(block)) - starts[block]
+
+
+def _pack_blocks(
+    blocks: CandidateBlocks, global_batch_size: int
 ) -> Tuple[List[_StageKey], List[Tuple[str, int]], np.ndarray]:
     """``(stage keys, (schedule, v) pairs, lane matrix)`` of a candidate batch.
 
     The lane matrix is ``(10, n)`` int64 (rows :data:`_KEY` ...
-    :data:`_NVS_DP`); its first two rows index into the two lists.
-    Consecutive candidates of one config object share its columns, which is
-    how the search hands over every assignment of a parallelization.
+    :data:`_NVS_DP`); its first two rows index into the two lists.  Each
+    block's config columns are built once and repeated over its assignment
+    rows.
     """
     keys: Dict[_StageKey, int] = {}
     schedules: Dict[Tuple[str, int], int] = {}
-    columns = []
-    last = head = None
-    for config, assignment in candidates:
-        if config is not last:
-            last = config
-            key = (
-                config.strategy,
-                config.microbatch_size,
-                config.tensor_parallel_1,
-                config.tensor_parallel_2,
-                config.summa_panels,
-                config.expert_parallel,
-            )
-            head = (
+    heads = []
+    for config in blocks.configs:
+        key = (
+            config.strategy,
+            config.microbatch_size,
+            config.tensor_parallel_1,
+            config.tensor_parallel_2,
+            config.summa_panels,
+            config.expert_parallel,
+        )
+        heads.append(
+            (
                 keys.setdefault(key, len(keys)),
                 schedules.setdefault((config.schedule, config.virtual_stages), len(schedules)),
                 config.pipeline_parallel,
@@ -233,11 +296,11 @@ def _pack_lanes(
                 config.virtual_stages,
                 config.num_microbatches(global_batch_size),
             )
-        columns.append(
-            head
-            + (assignment.nvs_tp1, assignment.nvs_tp2, assignment.nvs_pp, assignment.nvs_dp)
         )
-    lanes = np.array(columns, dtype=np.int64).reshape(len(columns), 10).T.copy()
+    lanes = np.empty((10, len(blocks)), dtype=np.int64)
+    if heads:
+        lanes[:_NVS_TP1] = np.repeat(np.array(heads, dtype=np.int64), blocks.sizes, axis=0).T
+        lanes[_NVS_TP1:] = np.concatenate(blocks.assignments).T
     return list(keys), list(schedules), lanes
 
 
@@ -546,22 +609,22 @@ def _price_lanes(
 def batch_candidate_breakdowns(
     model: TransformerConfig,
     system: SystemSpec,
-    candidates: Sequence[Tuple[ParallelConfig, GpuAssignment]],
+    candidates: CandidateBlocks,
     *,
     global_batch_size: int,
     options: ModelingOptions = DEFAULT_OPTIONS,
 ) -> BatchBreakdown:
     """Per-candidate category breakdowns of a heterogeneous candidate batch.
 
-    Candidates are packed into lanes, and the lanes are grouped by the
+    The blocks are packed into lanes, and the lanes are grouped by the
     :class:`_Structure` of their stage key (not by the key itself): every
     microbatch size, TP factorization, panel count, EP degree and schedule
     with the same collectives shares one array program, with the per-key
     numbers gathered into lane arrays.  A batch of one model and strategy
     is typically one program; each program's results are scattered back
-    into input order.
+    into candidate order.
     """
-    keys, schedules, lanes = _pack_lanes(candidates, global_batch_size)
+    keys, schedules, lanes = _pack_blocks(candidates, global_batch_size)
     programs: Dict[_Structure, List[int]] = {}
     key_values, key_ints = [], []
     for key in keys:
@@ -572,7 +635,7 @@ def batch_candidate_breakdowns(
 
     key_of_lane = lanes[_KEY]
     out = {
-        name: np.empty(len(candidates))
+        name: np.empty(lanes.shape[1])
         for name in ("compute", "memory", "tp_comm", "pp_bubble", "pp_comm", "dp_comm", "total")
     }
     for structure, members in programs.items():
@@ -595,12 +658,12 @@ def batch_candidate_breakdowns(
 def batch_candidate_times(
     model: TransformerConfig,
     system: SystemSpec,
-    candidates: Sequence[Tuple[ParallelConfig, GpuAssignment]],
+    candidates: CandidateBlocks,
     *,
     global_batch_size: int,
     options: ModelingOptions = DEFAULT_OPTIONS,
 ) -> np.ndarray:
-    """Per-candidate total iteration times (float64, input order)."""
+    """Per-candidate total iteration times (float64, candidate order)."""
     return batch_candidate_breakdowns(
         model, system, candidates, global_batch_size=global_batch_size, options=options
     ).total

@@ -1086,7 +1086,7 @@ def find_serving_config(
         objective=objective,
         serving=serving,
         best=incumbent.best.estimate if incumbent.best is not None else None,
-        top_k=[row.estimate for row in incumbent.leaderboard()],
+        top_k=[winner.estimate for winner in incumbent.leaderboard()],
         statistics=search_statistics(
             caches_before, seeded, searched,
             parallel_configs=n_parallel,

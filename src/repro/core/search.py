@@ -17,9 +17,13 @@ best-bound-first in chunks by a *pricer* (per-candidate
 :func:`~repro.core.execution.evaluate_config`, the vectorized
 :mod:`repro.core.batch_eval`, or the serving evaluator) and offered to an
 *incumbent* (:class:`BestK`, or the Pareto frontier archive) whose pruning
-test skips every parallelization whose bound cannot contribute.  The
-selected optimum (and top-k set, and frontier) is provably unchanged;
-:class:`SearchStatistics` records how much work was avoided.
+test skips every parallelization whose bound cannot contribute.  A priced
+chunk is one :class:`PricedChunk` of columns — survivor index, assignment
+index and score per candidate, NumPy arrays from the batch pricer — and the
+incumbent folds it in as a whole; only the candidates that become the best,
+a leaderboard entry or a frontier member are built into :class:`Winner`
+objects.  The selected optimum (and top-k set, and frontier) is provably
+unchanged; :class:`SearchStatistics` records how much work was avoided.
 """
 
 from __future__ import annotations
@@ -305,17 +309,64 @@ class Survivor(NamedTuple):
     coeffs: tuple = ()
 
 
-class Row(NamedTuple):
-    """One priced (parallelization, NVS assignment) candidate."""
+class Winner(NamedTuple):
+    """A candidate an incumbent keeps: the only candidates built as objects."""
 
-    #: Minimised score — the iteration time, or the sign-adjusted serving
-    #: objective; ``None`` when the candidate is infeasible.
-    score: Optional[float]
-    survivor: Survivor
-    assign_idx: int
+    config: ParallelConfig
     assignment: GpuAssignment
-    #: The estimate the pricer built (``None`` when it priced a time only).
+    #: The estimate a per-candidate pricer built (``None`` from the batch
+    #: pricer, whose winners are re-priced through the scalar oracle).
     estimate: object = None
+
+
+class PricedChunk(NamedTuple):
+    """A priced chunk: its feasible candidates as parallel columns.
+
+    Column ``j`` is survivor ``survivors[index[j]]`` under assignment
+    ``assign[j]`` of that survivor's ``assignments``, with the minimised
+    score ``scores[j]``.  The batch pricer fills the columns with NumPy
+    arrays.  The per-candidate pricers fill them with lists and keep each
+    column's estimate in ``estimates``, so the serving search never imports
+    NumPy.
+    """
+
+    survivors: Sequence[Survivor]
+    #: Each survivor's NVS assignments, as ``gpu_assignments`` lists them.
+    assignments: Sequence[Sequence[GpuAssignment]]
+    index: Sequence[int]
+    assign: Sequence[int]
+    scores: Sequence[float]
+    #: Candidates priced, the infeasible ones (which have no column) included.
+    evaluated: int
+    estimates: Sequence = ()
+
+    def key(self, j: int) -> tuple:
+        """Column ``j``'s ``(score, rank, assignment index)`` tie-break key."""
+        return (float(self.scores[j]), self.survivors[self.index[j]].rank, int(self.assign[j]))
+
+    def winner(self, j: int) -> Winner:
+        """Column ``j`` as a :class:`Winner`."""
+        i, a = int(self.index[j]), int(self.assign[j])
+        estimate = self.estimates[j] if self.estimates else None
+        return Winner(self.survivors[i].config, self.assignments[i][a], estimate)
+
+    def smallest(self, count: int, cut: float) -> List[Tuple[tuple, int]]:
+        """The ``count`` smallest keys scoring at most ``cut``, with their columns.
+
+        Returns ``(key, column)`` pairs, smallest key first.
+        """
+        scores = self.scores
+        if isinstance(scores, list):
+            columns = [j for j, score in enumerate(scores) if score <= cut]
+        else:
+            # Array columns: only the count-th smallest score and its ties
+            # can hold one of the count smallest keys.
+            import numpy as np
+
+            if count < len(scores):
+                cut = min(cut, np.partition(scores, count - 1)[count - 1])
+            columns = np.flatnonzero(scores <= cut).tolist()
+        return sorted((self.key(j), j) for j in columns)[:count]
 
 
 def branch_and_bound(survivors: Sequence[Survivor], price, incumbent) -> SearchStatistics:
@@ -325,11 +376,13 @@ def branch_and_bound(survivors: Sequence[Survivor], price, incumbent) -> SearchS
     time.  Before each chunk the ``incumbent`` hands out its pruning test
     (:meth:`BestK.pruner`, :meth:`_FrontierArchive.pruner`); survivors it
     rejects are counted and skipped, the rest are priced by ``price`` into
-    :class:`Row` objects, and the feasible rows are offered back to the
-    incumbent, which may tighten the test for the next chunk.  Pruning is
-    sound whenever the incumbent only rejects a survivor whose bound proves
-    it cannot contribute to the result, so the outcome never depends on the
-    chunk size — only the amount of work does.
+    one :class:`PricedChunk` of columns, and the incumbent folds the chunk
+    in, which may tighten the test for the next chunk.  Only the columns
+    that become the best, a leaderboard entry or a frontier member are
+    built into :class:`Winner` objects.  Pruning is sound whenever the
+    incumbent only rejects a survivor whose bound proves it cannot
+    contribute to the result, so the outcome never depends on the chunk
+    size — only the amount of work does.
     """
     evaluated = infeasible = pruned = 0
     i, n = 0, len(survivors)
@@ -343,37 +396,36 @@ def branch_and_bound(survivors: Sequence[Survivor], price, incumbent) -> SearchS
                 chunk.append(survivors[i])
             i += 1
         if chunk:
-            rows = price(chunk)
-            feasible = [row for row in rows if row.score is not None]
-            evaluated += len(rows)
-            infeasible += len(rows) - len(feasible)
-            incumbent.offer(feasible)
+            priced = price(chunk)
+            evaluated += priced.evaluated
+            infeasible += priced.evaluated - len(priced.scores)
+            incumbent.offer(priced)
     return SearchStatistics(
         candidates_evaluated=evaluated, infeasible_memory=infeasible, pruned_configs=pruned
     )
 
 
 class BestK:
-    """Single-objective incumbent: the best row plus a top-``k`` leaderboard.
+    """Single-objective incumbent: the best candidate plus a top-``k`` leaderboard.
 
-    Rows are keyed by ``(score, rank, assignment index)``, so exact score ties
-    resolve by enumeration order whatever order they were priced in.  The
-    pruning threshold is the best score — or, with ``top_k > 1``, the k-th
-    best, so pruning also preserves the exact top-k set — tightened by the
-    warm seed (:meth:`seed`) and capped by ``floor``: the lowest best score
-    or warm seed the earlier strategies of the same multi-strategy call
-    reached (see :func:`find_optimal_config`).  A one-entry leaderboard's
-    k-th best *is* the best score, so ``top_k=1`` follows the best-only
-    rules (:attr:`best_only`).  A survivor is pruned only when its bound
-    *exceeds* the threshold, so an exact tie with the incumbent is still
-    priced.
+    Candidates are keyed by ``(score, rank, assignment index)``, so exact
+    score ties resolve by enumeration order whatever order they were priced
+    in.  The pruning threshold is the best score — or, with ``top_k > 1``,
+    the k-th best, so pruning also preserves the exact top-k set —
+    tightened by the warm seed (:meth:`seed`) and capped by ``floor``: the
+    lowest best score or warm seed the earlier strategies of the same
+    multi-strategy call reached (see :func:`find_optimal_config`).  A
+    one-entry leaderboard's k-th best *is* the best score, so ``top_k=1``
+    follows the best-only rules (:attr:`best_only`).  A survivor is pruned
+    only when its bound *exceeds* the threshold, so an exact tie with the
+    incumbent is still priced.
     """
 
     def __init__(self, top_k: int = 0, prune: bool = True, floor: float = math.inf) -> None:
         self.top_k = top_k
         self.prune = prune
         self.floor = floor
-        self.best: Optional[Row] = None
+        self.best: Optional[Winner] = None
         self._best_key: tuple = (math.inf, -1, -1)
         self._seed = math.inf
         self._heap: List[tuple] = []
@@ -389,7 +441,7 @@ class BestK:
         return self.top_k <= 1
 
     def _threshold(self) -> float:
-        """The threshold this search's own rows and seed justify."""
+        """The threshold this search's own candidates and seed justify."""
         if not self.prune:
             return math.inf
         if not self.best_only:
@@ -422,8 +474,8 @@ class BestK:
         own = self._threshold()
         return sum(1 for bound in self._pruned_bounds if bound <= own)
 
-    def seed(self, rows: Sequence[Row]) -> int:
-        """Open the threshold with priced warm-hint rows; returns the hits.
+    def seed(self, chunk: PricedChunk) -> int:
+        """Open the threshold with a priced chunk of warm hints; returns the hits.
 
         Every hint is a member of the searched space, so its best feasible
         score bounds the optimum from above and pruning against it can never
@@ -432,27 +484,36 @@ class BestK:
         same candidate again under its own tie-break rank.  A hit is a hint
         with at least one feasible assignment.
         """
-        feasible = [row for row in rows if row.score is not None]
-        if feasible:
-            self._seed = min(row.score for row in feasible)
-        return len({row.survivor.rank for row in feasible})
+        if len(chunk.scores):
+            self._seed = float(min(chunk.scores))
+        return len(set(chunk.index))
 
-    def offer(self, rows: Sequence[Row]) -> None:
-        """Fold feasible rows into the best row and the leaderboard."""
-        for row in rows:
-            key = (row.score, row.survivor.rank, row.assign_idx)
+    def offer(self, chunk: PricedChunk) -> None:
+        """Fold a chunk into the best candidate and the leaderboard.
+
+        Only the chunk's ``max(top_k, 1)`` smallest keys that can still
+        enter are taken, in one :meth:`PricedChunk.smallest` call, and only
+        the ones that enter become :class:`Winner` objects.
+        """
+        if self.top_k > 0:
+            cut = -self._heap[0][0] if len(self._heap) >= self.top_k else math.inf
+        else:
+            cut = self._best_key[0]
+        for key, j in chunk.smallest(max(self.top_k, 1), cut):
+            winner = None
             if self.best is None or key < self._best_key:
-                self.best, self._best_key = row, key
+                winner = chunk.winner(j)
+                self.best, self._best_key = winner, key
             if self.top_k > 0:
                 # Max-heap of the k best: heap[0] is the worst kept entry.
-                entry = (-key[0], -key[1], -key[2], row)
+                negated = (-key[0], -key[1], -key[2])
                 if len(self._heap) < self.top_k:
-                    heapq.heappush(self._heap, entry)
-                elif entry > self._heap[0]:
-                    heapq.heapreplace(self._heap, entry)
+                    heapq.heappush(self._heap, negated + (winner or chunk.winner(j),))
+                elif negated > self._heap[0][:3]:
+                    heapq.heapreplace(self._heap, negated + (winner or chunk.winner(j),))
 
-    def leaderboard(self) -> List[Row]:
-        """The top-k rows, best first."""
+    def leaderboard(self) -> List[Winner]:
+        """The top-k candidates, best first."""
         return [e[-1] for e in sorted(self._heap, key=lambda e: (-e[0], -e[1], -e[2]))]
 
 
@@ -460,8 +521,8 @@ class CandidatePricer:
     """Per-candidate pricer: one ``evaluate(config, assignment)`` call each.
 
     ``score(estimate)`` turns an estimate into the minimised score, or
-    ``None`` when the candidate is infeasible.  Rows keep the estimates, so
-    no winner is priced twice.
+    ``None`` when the candidate is infeasible.  The chunk keeps the
+    estimates, so no winner is priced twice.
     """
 
     chunk = 1
@@ -470,37 +531,40 @@ class CandidatePricer:
         self.evaluate, self.score = evaluate, score
         self.nvs_domain_size, self.space = nvs_domain_size, space
 
-    def candidates(self, survivors: Sequence[Survivor]):
-        """``(survivor, assignment index, assignment)`` of every candidate."""
-        for item in survivors:
-            for assign_idx, assignment in enumerate(
-                gpu_assignments(item.config, self.nvs_domain_size, self.space)
-            ):
-                yield item, assign_idx, assignment
-
-    def __call__(self, survivors: Sequence[Survivor]) -> List[Row]:
+    def __call__(self, survivors: Sequence[Survivor]) -> PricedChunk:
         """Price every candidate of ``survivors``, in enumeration order."""
-        rows = []
-        for item, assign_idx, assignment in self.candidates(survivors):
-            estimate = self.evaluate(item.config, assignment)
-            rows.append(Row(self.score(estimate), item, assign_idx, assignment, estimate))
-        return rows
+        assignments = [
+            gpu_assignments(item.config, self.nvs_domain_size, self.space) for item in survivors
+        ]
+        index, assign, scores, estimates = [], [], [], []
+        for i, (item, options) in enumerate(zip(survivors, assignments)):
+            for a, assignment in enumerate(options):
+                estimate = self.evaluate(item.config, assignment)
+                score = self.score(estimate)
+                if score is not None:
+                    index.append(i)
+                    assign.append(a)
+                    scores.append(score)
+                    estimates.append(estimate)
+        evaluated = sum(map(len, assignments))
+        return PricedChunk(survivors, assignments, index, assign, scores, evaluated, estimates)
 
-    def estimate(self, row: Row):
-        """A row's estimate, priced through ``evaluate`` if it carries none."""
-        if row.estimate is not None:
-            return row.estimate
-        return self.evaluate(row.survivor.config, row.assignment)
+    def estimate(self, winner: Winner):
+        """A winner's estimate, priced through ``evaluate`` if it carries none."""
+        if winner.estimate is not None:
+            return winner.estimate
+        return self.evaluate(winner.config, winner.assignment)
 
 
 class _BatchPricer(CandidatePricer):
-    """Vectorized training pricer: one ``times(candidates)`` call per chunk.
+    """Vectorized training pricer: one ``times(blocks)`` call per chunk.
 
-    A chunk is :data:`_BATCH_CHUNK_CONFIGS` parallelizations.  Pass 1 has
-    already established feasibility (memory does not depend on the
-    assignment), so every row is a contender.  The batch times are bit-exact
-    against the scalar oracle; rows carry no estimate, so winners are
-    re-priced through ``evaluate`` by :meth:`estimate`.
+    A chunk is :data:`_BATCH_CHUNK_CONFIGS` parallelizations, packed one
+    block per parallelization (:class:`~repro.core.batch_eval.CandidateBlocks`).
+    Pass 1 has already established feasibility (memory does not depend on
+    the assignment), so every candidate is a column.  The batch times are
+    bit-exact against the scalar oracle; the chunk carries no estimates, so
+    winners are re-priced through ``evaluate`` by :meth:`estimate`.
     """
 
     chunk = _BATCH_CHUNK_CONFIGS
@@ -509,14 +573,19 @@ class _BatchPricer(CandidatePricer):
         super().__init__(evaluate, None, nvs_domain_size, space)
         self.times = times
 
-    def __call__(self, survivors: Sequence[Survivor]) -> List[Row]:
+    def __call__(self, survivors: Sequence[Survivor]) -> PricedChunk:
         """Price every candidate of ``survivors`` in one array program."""
-        candidates = list(self.candidates(survivors))
-        times = self.times([(item.config, assignment) for item, _, assignment in candidates])
-        return [
-            Row(float(t), item, assign_idx, assignment)
-            for (item, assign_idx, assignment), t in zip(candidates, times)
-        ]
+        from repro.core import batch_eval
+
+        nvs, space = self.nvs_domain_size, self.space
+        configs = [item.config for item in survivors]
+        blocks = batch_eval.CandidateBlocks(
+            configs, [batch_eval.assignment_matrix(config, nvs, space) for config in configs]
+        )
+        times = self.times(blocks)
+        index, assign = blocks.positions()
+        assignments = [gpu_assignments(config, nvs, space) for config in configs]
+        return PricedChunk(survivors, assignments, index, assign, times, len(times))
 
 
 def _training_pricer(
@@ -565,10 +634,10 @@ def warm_seed(price, incumbent: BestK, *adapt_args, keep=None) -> SearchStatisti
     hints = adapt_warm_hints(*adapt_args)
     if keep is not None:
         hints = [config for config in hints if keep(config)]
-    rows = price([Survivor(0.0, rank, config) for rank, config in enumerate(hints)])
-    hits = incumbent.seed(rows)
+    chunk = price([Survivor(0.0, rank, config) for rank, config in enumerate(hints)])
+    hits = incumbent.seed(chunk)
     return SearchStatistics(
-        candidates_evaluated=len(rows),
+        candidates_evaluated=chunk.evaluated,
         warm_start_hits=hits,
         warm_seed_time=time.perf_counter() - t0,
     )
@@ -780,8 +849,8 @@ def _search_single_strategy(
 
     best = price.estimate(incumbent.best) if incumbent.best is not None else None
     leaderboard = [
-        best if row is incumbent.best else price.estimate(row)
-        for row in incumbent.leaderboard()
+        best if winner is incumbent.best else price.estimate(winner)
+        for winner in incumbent.leaderboard()
     ]
     return SearchResult(
         model_name=model.name,
@@ -1017,7 +1086,7 @@ class _FrontierArchive:
 
     The frontier is an ``(m, k)`` float64 matrix of canonical metric vectors,
     :attr:`vectors`, plus the parallel list :attr:`entries` of
-    ``(order, row)``, where ``order`` is the deterministic
+    ``(order, winner)``, where ``order`` is the deterministic
     ``((strategy index, enumeration rank), assignment index)`` tie key.  The
     archive is the multi-objective incumbent of :func:`branch_and_bound`:
     its pruning test is :meth:`dominates_bound` — a parallelization whose
@@ -1025,16 +1094,17 @@ class _FrontierArchive:
     cannot contribute a frontier member (every real candidate of it is
     ``>=`` the bound componentwise, so the archived point strictly
     dominates them all; by transitivity the final frontier does too).
-    :meth:`offer` stacks the archive on the new rows and keeps the survivors
-    of one :func:`~repro.core.batch_eval.non_dominated_mask` call: the
-    frontier of a union is the frontier of the old frontier plus the new
-    rows, so how the rows are chunked never changes the result.
+    :meth:`offer` stacks the archive on the chunk's vectors and keeps the
+    survivors of one :func:`~repro.core.batch_eval.non_dominated_mask` call:
+    the frontier of a union is the frontier of the old frontier plus the
+    new candidates, so how the candidates are chunked never changes the
+    result.
     """
 
     def __init__(self, prune: bool = True) -> None:
         self.prune = prune
         self.vectors = None
-        self.entries: List[Tuple[tuple, Row]] = []
+        self.entries: List[Tuple[tuple, Winner]] = []
 
     def dominates_bound(self, bound: Sequence[float]) -> bool:
         """True when some archived vector strictly dominates ``bound``."""
@@ -1047,33 +1117,42 @@ class _FrontierArchive:
         """Pruning test for the next chunk: dominance of the bound vector."""
         return self.dominates_bound if self.prune else _never
 
-    def offer(self, rows: Sequence[Row]) -> None:
-        """Fold feasible rows (scored by time) into the frontier."""
-        if not rows:
+    def offer(self, chunk: PricedChunk) -> None:
+        """Fold a chunk (scored by time) into the frontier.
+
+        Column ``j``'s vector is its survivor's ``offset + slope * time``
+        per objective, computed for every column at once; only the columns
+        that join the frontier become :class:`Winner` objects.
+        """
+        if not len(chunk.scores):
             return
         import numpy as np
 
         from repro.core import batch_eval
 
-        vectors = np.array(
-            [[off + slope * row.score for off, slope in row.survivor.coeffs] for row in rows],
-            dtype=np.float64,
-        )
-        entries = self.entries + [((row.survivor.rank, row.assign_idx), row) for row in rows]
-        if self.entries:
+        # (column, objective, (offset, slope)) coefficients.
+        coeffs = np.array([item.coeffs for item in chunk.survivors], dtype=np.float64)[
+            np.asarray(chunk.index)
+        ]
+        times = np.asarray(chunk.scores, dtype=np.float64)[:, None]
+        vectors = coeffs[:, :, 0] + coeffs[:, :, 1] * times
+        old = len(self.entries)
+        if old:
             vectors = np.concatenate((self.vectors, vectors))
         keep = batch_eval.non_dominated_mask(vectors)
         self.vectors = vectors[keep]
-        self.entries = list(compress(entries, keep))
+        self.entries = list(compress(self.entries, keep[:old].tolist())) + [
+            (chunk.key(j)[1:], chunk.winner(j)) for j in np.flatnonzero(keep[old:]).tolist()
+        ]
 
-    def sorted_entries(self) -> List[Tuple[Tuple[float, ...], tuple, Row]]:
-        """``(vector, order, row)`` in the report order (vector, then order)."""
+    def sorted_entries(self) -> List[Tuple[Tuple[float, ...], tuple, Winner]]:
+        """``(vector, order, winner)`` in the report order (vector, then order)."""
         if not self.entries:
             return []
         return sorted(
             (
-                (tuple(vector), order, row)
-                for vector, (order, row) in zip(self.vectors.tolist(), self.entries)
+                (tuple(vector), order, winner)
+                for vector, (order, winner) in zip(self.vectors.tolist(), self.entries)
             ),
             key=lambda entry: (entry[0], entry[1]),
         )
@@ -1197,10 +1276,10 @@ def find_pareto_configs(
 
     points = [
         ParetoPoint(
-            estimate=price.estimate(row),
+            estimate=price.estimate(winner),
             metrics={obj.name: obj.raw(component) for obj, component in zip(objs, vector)},
         )
-        for vector, _, row in archive.sorted_entries()
+        for vector, _, winner in archive.sorted_entries()
     ]
     return ParetoResult(
         model_name=model.name,

@@ -358,6 +358,10 @@ def system_catalog(
     return catalog
 
 
+#: GPUs per Perlmutter node that may share the fast NVLink domain.
+PERLMUTTER_NVLINK_GPUS = (1, 2, 4)
+
+
 #: A Perlmutter-like A100 system (4 GPUs/node all-to-all NVLink, 4 NICs/node)
 #: used by the empirical-validation experiments and the NCCL-style collective
 #: validation (Fig. A1).
@@ -367,7 +371,7 @@ def make_perlmutter(nvlink_gpus_per_node: int = 4) -> SystemSpec:
     ``nvlink_gpus_per_node`` restricts how many GPUs per node participate in
     the fast domain (the Fig. A1 validation compares NVL=2 and NVL=4).
     """
-    if nvlink_gpus_per_node not in (1, 2, 4):
+    if nvlink_gpus_per_node not in PERLMUTTER_NVLINK_GPUS:
         raise ValueError("Perlmutter nodes have 4 GPUs; choose 1, 2 or 4 per node")
     # Perlmutter: 4 third-generation NVLinks between each GPU pair when all
     # four GPUs are used (12 links per GPU); with 2 GPUs per node only 4

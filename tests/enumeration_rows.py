@@ -4,13 +4,16 @@ The search prices memory-filtered chunks; the equivalence suites
 (``test_batch_eval.py``, ``test_batch_eval_properties.py`` and
 ``test_batch_grid.py``) instead walk every ``(parallelization, assignment)``
 candidate of one strategy and pin each batch-priced lane against the scalar
-oracle.  These helpers materialize that walk.
+oracle.  These helpers materialize that walk, pack rows into the batch
+pricer's blocks, and build the priced chunks the incumbent tests offer.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.batch_eval import BatchBreakdown, batch_candidate_breakdowns
+import numpy as np
+
+from repro.core.batch_eval import BatchBreakdown, CandidateBlocks, batch_candidate_breakdowns
 from repro.core.config_space import (
     SearchSpace,
     count_configurations,
@@ -20,6 +23,7 @@ from repro.core.config_space import (
 from repro.core.execution import DEFAULT_OPTIONS, ModelingOptions
 from repro.core.model import TransformerConfig
 from repro.core.parallelism.base import GpuAssignment, ParallelConfig
+from repro.core.search import PricedChunk, Survivor
 from repro.core.system import SystemSpec
 
 
@@ -69,6 +73,22 @@ def materialize_enumeration(
     return rows
 
 
+def row_blocks(rows: Sequence[CandidateRow]) -> CandidateBlocks:
+    """``rows`` as the batch pricer's blocks: each run of one config is a block.
+
+    The blocks keep the rows' order, so lane ``i`` of the priced batch is
+    ``rows[i]``.
+    """
+    configs: List[ParallelConfig] = []
+    assignments: List[List[Tuple[int, int, int, int]]] = []
+    for row in rows:
+        if not configs or configs[-1] != row.config:
+            configs.append(row.config)
+            assignments.append([])
+        assignments[-1].append(row.assignment.as_tuple())
+    return CandidateBlocks(configs, assignments)
+
+
 def batch_evaluate_enumeration(
     model: TransformerConfig,
     system: SystemSpec,
@@ -86,8 +106,33 @@ def batch_evaluate_enumeration(
     priced = batch_candidate_breakdowns(
         model,
         system,
-        [(row.config, row.assignment) for row in rows],
+        row_blocks(rows),
         global_batch_size=global_batch_size,
         options=options,
     )
     return rows, priced
+
+
+def priced_chunk(rows: Sequence[Tuple[float, Survivor, int]], arrays: bool) -> PricedChunk:
+    """A chunk of ``(score, survivor, assignment index)`` rows, in row order.
+
+    The columns are lists, or NumPy arrays when ``arrays`` is set: the two
+    forms the pricers produce.  Survivor ``s``'s assignment ``a`` is the
+    token ``(s.rank, a)``, so a winner names the row it came from.
+    """
+    survivors: List[Survivor] = []
+    position = {}
+    index = []
+    for _, survivor, _ in rows:
+        if id(survivor) not in position:
+            position[id(survivor)] = len(survivors)
+            survivors.append(survivor)
+        index.append(position[id(survivor)])
+    assign = [a for _, _, a in rows]
+    scores = [score for score, _, _ in rows]
+    width = max(assign, default=-1) + 1
+    assignments = [[(survivor.rank, a) for a in range(width)] for survivor in survivors]
+    if arrays:
+        index, assign = np.array(index, dtype=np.int64), np.array(assign, dtype=np.int64)
+        scores = np.array(scores, dtype=np.float64)
+    return PricedChunk(survivors, assignments, index, assign, scores, len(rows))

@@ -15,14 +15,16 @@ from dataclasses import replace
 
 import pytest
 
-from enumeration_rows import batch_evaluate_enumeration, materialize_enumeration
+from enumeration_rows import batch_evaluate_enumeration, materialize_enumeration, row_blocks
 from repro.core import batch_eval
 from repro.core.batch_eval import (
+    CandidateBlocks,
+    assignment_matrix,
     batch_candidate_breakdowns,
     batch_candidate_times,
     validate_eval_mode,
 )
-from repro.core.config_space import DEFAULT_SEARCH_SPACE, count_configurations
+from repro.core.config_space import DEFAULT_SEARCH_SPACE, count_configurations, gpu_assignments
 from repro.core.execution import DEFAULT_OPTIONS, clear_caches, evaluate_config
 from repro.core.model import TransformerConfig
 from repro.core.system import make_system
@@ -137,10 +139,7 @@ class TestEquivalenceGrid:
             DENSE, B200_NVS8, N_GPUS, GLOBAL_BATCH, "tp1d", space=SPACE
         )
         times = batch_candidate_times(
-            DENSE,
-            B200_NVS8,
-            [(row.config, row.assignment) for row in rows],
-            global_batch_size=GLOBAL_BATCH,
+            DENSE, B200_NVS8, row_blocks(rows), global_batch_size=GLOBAL_BATCH
         )
         assert (times == priced.total).all()
 
@@ -152,8 +151,7 @@ class TestChunkProgram:
     @staticmethod
     def _priced(rows):
         return batch_candidate_breakdowns(
-            DENSE, B200_NVS8, [(row.config, row.assignment) for row in rows],
-            global_batch_size=GLOBAL_BATCH,
+            DENSE, B200_NVS8, row_blocks(rows), global_batch_size=GLOBAL_BATCH
         )
 
     def test_mixed_chunk_costs_one_key_and_stays_exact(self, monkeypatch):
@@ -194,6 +192,28 @@ class TestChunkProgram:
         assert all(getattr(priced, name).shape == (0,) for name in ("compute", "pp_bubble", "total"))
 
 
+class TestCandidateBlocks:
+    """The batch pricer's input: one block per parallelization."""
+
+    @pytest.mark.parametrize("search", [True, False], ids=["searched", "default-assignment"])
+    def test_assignment_matrix_lists_gpu_assignments(self, search):
+        space = replace(SPACE, search_gpu_assignment=search)
+        for system in (B200_NVS8, A100_NVS4):
+            nvs = system.nvs_domain_size
+            for row in materialize_enumeration(DENSE, system, N_GPUS, GLOBAL_BATCH, "tp2d", space):
+                matrix = assignment_matrix(row.config, nvs, space)
+                want = [list(a.as_tuple()) for a in gpu_assignments(row.config, nvs, space)]
+                assert matrix.tolist() == want
+
+    def test_len_and_positions_count_candidates(self):
+        one = (1, 1, 1, 1)
+        blocks = CandidateBlocks([None, None, None], [[one, one], [], [one, one, one]])
+        assert len(blocks) == 5
+        block, row = blocks.positions()
+        assert block.tolist() == [0, 0, 2, 2, 2]
+        assert row.tolist() == [0, 1, 0, 1, 2]
+
+
 class TestMaterializeEnumeration:
     def test_row_count_matches_count_configurations(self):
         rows = materialize_enumeration(
@@ -228,20 +248,14 @@ def test_clear_caches_covers_batch_caches():
     from repro.core.execution import cache_stats
 
     clear_caches()
-    materialize_enumeration(MOE, B200_NVS8, N_GPUS, GLOBAL_BATCH, "tp1d", replace(SPACE, expert_parallel=(1, 2)))
-    batch_candidate_times(
-        MOE,
-        B200_NVS8,
-        [
-            (row.config, row.assignment)
-            for row in materialize_enumeration(
-                MOE, B200_NVS8, N_GPUS, GLOBAL_BATCH, "tp1d", replace(SPACE, expert_parallel=(1, 2))
-            )
-        ],
-        global_batch_size=GLOBAL_BATCH,
-    )
+    space = replace(SPACE, expert_parallel=(1, 2))
+    rows = materialize_enumeration(MOE, B200_NVS8, N_GPUS, GLOBAL_BATCH, "tp1d", space)
+    batch_candidate_times(MOE, B200_NVS8, row_blocks(rows), global_batch_size=GLOBAL_BATCH)
+    assignment_matrix(rows[0].config, B200_NVS8.nvs_domain_size, space)
     stats = cache_stats()
-    assert "batch_ep_divisor" in stats
+    assert stats["batch_ep_divisor"]["currsize"] > 0
+    assert stats["assignment_matrix"]["currsize"] > 0
     clear_caches()
-    after = cache_stats()["batch_ep_divisor"]
-    assert after.get("currsize", after.get("entries", 0)) == 0
+    after = cache_stats()
+    assert after["batch_ep_divisor"]["currsize"] == 0
+    assert after["assignment_matrix"]["currsize"] == 0

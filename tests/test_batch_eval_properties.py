@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from enumeration_rows import materialize_enumeration
+from enumeration_rows import materialize_enumeration, row_blocks
 from repro.core import batch_eval
 from repro.core.batch_eval import batch_candidate_breakdowns, non_dominated_mask
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
@@ -117,7 +117,7 @@ class TestTrainingTermEquality:
         priced = batch_candidate_breakdowns(
             model,
             system,
-            [(row.config, row.assignment)],
+            row_blocks([row]),
             global_batch_size=GLOBAL_BATCH,
             options=options,
         )
@@ -150,13 +150,12 @@ class TestTrainingTermEquality:
         for strategy, schedule, pick in picks:
             rows = _rows(DENSE, B200_NVS8, strategy, schedule, 1 if schedule == "1f1b" else 2, 1)
             chosen.append(rows[pick % len(rows)])
-        candidates = [(row.config, row.assignment) for row in chosen]
         batched = batch_candidate_breakdowns(
-            DENSE, B200_NVS8, candidates, global_batch_size=GLOBAL_BATCH
+            DENSE, B200_NVS8, row_blocks(chosen), global_batch_size=GLOBAL_BATCH
         )
-        for i, (config, assignment) in enumerate(candidates):
+        for i, row in enumerate(chosen):
             single = batch_candidate_breakdowns(
-                DENSE, B200_NVS8, [(config, assignment)], global_batch_size=GLOBAL_BATCH
+                DENSE, B200_NVS8, row_blocks([row]), global_batch_size=GLOBAL_BATCH
             )
             for name in ("compute", "memory", "tp_comm", "pp_bubble", "pp_comm", "dp_comm", "total"):
                 assert getattr(batched, name)[i] == getattr(single, name)[0]

@@ -204,6 +204,52 @@ class TestNvsValidation:
         assert "Traceback" not in captured.err + captured.out
 
 
+class TestLibraryErrorsOnGridCommands:
+    """Input the library rejects is one error line and exit 2, as on
+    ``search``: never a traceback."""
+
+    @pytest.mark.parametrize("command", ["scaling", "systems", "speedup"])
+    def test_zero_global_batch_is_an_error_line(self, capsys, command):
+        assert main([command, "--gpus", "64", "--global-batch", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "repro-perf: error: global_batch_size must be >= 1" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+
+class TestCollectivesValidation:
+    """``collectives`` rejects a bad flag at parse time, naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--gpus", "0"], "argument --gpus: GPU counts must be >= 1"),
+            (["--gpus", "x"], "argument --gpus: invalid GPU count"),
+            (["--nvlink", "3"], "argument --nvlink: invalid choice: 3"),
+            (["--collective", "nosuch"], "argument --collective: invalid choice: 'nosuch'"),
+        ],
+        ids=["gpus", "gpus-not-int", "nvlink", "collective"],
+    )
+    def test_bad_flag_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["collectives", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_flags_that_do_not_fit_together_are_an_error_line(self, capsys):
+        """Four GPUs per node cannot tile a group of six."""
+        assert main(["collectives", "--gpus", "6", "--nvlink", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-perf: error:")
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("nvlink", ["1", "2", "4"])
+    def test_every_perlmutter_domain_runs(self, capsys, nvlink):
+        assert main(["collectives", "--gpus", "8", "--nvlink", nvlink]) == 0
+        assert f"all_gather on 8 GPUs ({nvlink} GPUs/node" in capsys.readouterr().out
+
+
 class TestGpuListParsing:
     def test_commas_whitespace_and_duplicates(self):
         from repro.cli import _parse_gpu_list

@@ -33,9 +33,9 @@ from repro.core.objectives import (
     registered_objectives,
     resolve_objectives,
 )
+from enumeration_rows import priced_chunk
 from repro.core.search import (
     ParetoResult,
-    Row,
     Survivor,
     _FrontierArchive,
     find_optimal_config,
@@ -234,7 +234,7 @@ class TestParetoMatchesExhaustive:
 
 
 class TestFrontierArchive:
-    """The archive's frontier does not depend on how rows are offered."""
+    """The archive's frontier does not depend on how candidates are chunked."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_any_chunking_gives_the_brute_force_frontier(self, seed):
@@ -248,29 +248,33 @@ class TestFrontierArchive:
             )
             survivor = Survivor((), (0, rank), None, coeffs)
             for assign_idx in range(rng.randint(1, 4)):
-                rows.append(Row(float(rng.randint(1, 4)), survivor, assign_idx, None))
+                rows.append((float(rng.randint(1, 4)), survivor, assign_idx))
         rng.shuffle(rows)
         archive = _FrontierArchive()
         start = 0
         while start < len(rows):
             size = rng.randint(1, 7)
-            archive.offer(rows[start : start + size])
+            archive.offer(priced_chunk(rows[start : start + size], arrays=rng.random() < 0.5))
             start += size
         scored = [
             (
-                tuple(off + slope * row.score for off, slope in row.survivor.coeffs),
-                (row.survivor.rank, row.assign_idx),
+                tuple(off + slope * score for off, slope in survivor.coeffs),
+                (survivor.rank, assign_idx),
             )
-            for row in rows
+            for score, survivor, assign_idx in rows
         ]
         want = sorted(
             (vector, order)
             for vector, order in scored
             if not any(_strictly_dominates(other, vector) for other, _ in scored)
         )
-        got = [(vector, order) for vector, order, _ in archive.sorted_entries()]
+        entries = archive.sorted_entries()
+        got = [(vector, order) for vector, order, _ in entries]
         assert got == want
         assert all(type(c) is float for vector, _ in got for c in vector)
+        assert all(type(i) is int for _, (_, i), _ in entries)
+        # Each member's winner is the candidate its order names.
+        assert [winner.assignment for _, _, winner in entries] == [order for _, order in want]
 
 
 def test_importing_search_and_the_api_leaves_numpy_unloaded():

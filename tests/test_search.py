@@ -1,16 +1,22 @@
 """Optimal-configuration search (stage S3)."""
 
 import math
+import random
 
 import pytest
 
+from enumeration_rows import priced_chunk
 from repro.core.config_space import SearchSpace
 from repro.core.execution import ModelingOptions
 from repro.core.inference import ServingSpec, find_serving_config
 from repro.core.model import GPT3_1T, VIT_LONG_SEQ
 from repro.core.parallelism.base import ParallelConfig
 from repro.core.search import (
+    BestK,
+    PricedChunk,
+    Survivor,
     best_assignment_for,
+    branch_and_bound,
     evaluate_candidates,
     find_optimal_config,
 )
@@ -274,3 +280,49 @@ class TestBatchEvalMode:
     def test_unknown_eval_mode_is_rejected(self, b200):
         with pytest.raises(ValueError, match="eval_mode"):
             self._solve(b200, strategy="tp1d", eval_mode="vectorized")
+
+
+class TestBestK:
+    """The incumbent's best and top-k do not depend on how candidates are
+    chunked, and exact score ties resolve by (rank, assignment index)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_any_chunking_gives_the_brute_force_best_and_top_k(self, seed):
+        rng = random.Random(seed)
+        rows = []
+        # Small integer scores: many exact ties, within and across survivors.
+        for rank in range(rng.randint(1, 40)):
+            survivor = Survivor(0.0, rank, f"config-{rank}")
+            for assign_idx in range(rng.randint(1, 4)):
+                rows.append((float(rng.randint(1, 4)), survivor, assign_idx))
+        want = [(rank, a) for _, rank, a in sorted((s, v.rank, a) for s, v, a in rows)]
+        for top_k in range(4):
+            rng.shuffle(rows)
+            incumbent = BestK(top_k)
+            start = 0
+            while start < len(rows):
+                size = rng.randint(1, 7)
+                incumbent.offer(priced_chunk(rows[start : start + size], arrays=rng.random() < 0.5))
+                start += size
+            assert incumbent.best.assignment == want[0]
+            assert incumbent.best.config == f"config-{want[0][0]}"
+            assert [w.assignment for w in incumbent.leaderboard()] == want[:top_k]
+
+    @pytest.mark.parametrize("top_k", [0, 1])
+    def test_bound_equal_to_the_incumbent_is_still_priced(self, top_k):
+        """A survivor whose bound ties the incumbent exactly may still hold an
+        exact tie that wins on rank, so the kernel prices it."""
+        times = {"late": 2.0, "early": 2.0}
+        survivors = [Survivor(1.0, 1, "late"), Survivor(2.0, 0, "early")]
+
+        class FakePricer:
+            chunk = 1
+
+            def __call__(self, chunk):
+                scores = [times[item.config] for item in chunk]
+                return PricedChunk(chunk, [("nvs",)] * len(chunk), [0], [0], scores, 1)
+
+        incumbent = BestK(top_k)
+        stats = branch_and_bound(survivors, FakePricer(), incumbent)
+        assert (stats.candidates_evaluated, stats.pruned_configs) == (2, 0)
+        assert incumbent.best.config == "early"

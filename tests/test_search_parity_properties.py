@@ -1,19 +1,26 @@
-"""Search-level parity of the batch pricer and the scalar oracle.
+"""Search-level invariants on one scenario generator.
 
 ``tests/test_batch_eval_properties.py`` pins the batch pricer against the
 scalar oracle per candidate, and ``tests/test_batch_grid.py`` pins whole
 searches on hand-picked grids.  The runtime prices every analytic training
-and Pareto search in batch, so this property draws small scenarios from one
-strategy — tiny dense, MoE and GQA models, every TP strategy or all of
+and Pareto search in batch, so these properties draw small scenarios from
+one strategy — tiny dense, MoE and GQA models, every TP strategy or all of
 them, 8–512 GPUs, NVS domains of 4, 8 or 64, ZeRO 0–3, 1F1B alone or with
 GPipe and interleaving, ``top_k`` 0–3, with and without warm hints from the
-winner at half the GPU count — and asserts that both library eval modes
-give equal results (dataclass equality, statistics included) for
-:func:`find_optimal_config` and, on a random objective subset,
-:func:`find_pareto_configs`.
+winner at half the GPU count — and assert that
 
-Tier-1 runs a derandomized slice; the ``batch_grid`` tier runs the same
-property on at least 200 examples.
+* both library eval modes give equal results (dataclass equality,
+  statistics included) for :func:`find_optimal_config` and, on a random
+  objective subset, :func:`find_pareto_configs`;
+* a pruned batch search returns the same best, top-k and frontier as an
+  exhaustive one (``prune_with_lower_bound=False``).
+
+A second generator draws serving scenarios — the same three models, 1–32
+GPUs, every serving objective, arrival rates and ``top_k`` 0–3 — and asserts
+that the pruned :func:`find_serving_config` equals the exhaustive one.
+
+Tier-1 runs a derandomized slice of each; the ``batch_grid`` tier runs the
+same properties on at least 200 examples.
 """
 
 from dataclasses import replace
@@ -24,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.config_space import DEFAULT_SEARCH_SPACE
 from repro.core.execution import DEFAULT_OPTIONS
+from repro.core.inference import SERVING_OBJECTIVES, ServingSpec, find_serving_config
 from repro.core.model import TransformerConfig
 from repro.core.objectives import DEFAULT_PARETO_OBJECTIVES
 from repro.core.search import find_optimal_config, find_pareto_configs
@@ -106,6 +114,45 @@ def _check_batch_equals_scalar(scenario):
     assert batch_front.statistics == scalar_front.statistics
 
 
+def _check_pruned_equals_exhaustive(scenario):
+    search, knobs = scenario
+    exhaustive = replace(search["space"], prune_with_lower_bound=False)
+    training = dict(search, top_k=knobs["top_k"], eval_mode="batch")
+    pruned = find_optimal_config(**training)
+    unpruned = find_optimal_config(**{**training, "space": exhaustive})
+    assert (pruned.best, pruned.top_k) == (unpruned.best, unpruned.top_k)
+
+    pareto = dict(search, objectives=knobs["objectives"], eval_mode="batch")
+    pruned_front = find_pareto_configs(**pareto)
+    assert pruned_front.points == find_pareto_configs(**{**pareto, "space": exhaustive}).points
+
+
+@st.composite
+def serving_scenarios(draw):
+    """Keyword arguments of one small serving search."""
+    model = draw(st.sampled_from([DENSE, GQA, MOE]))
+    return dict(
+        model=model,
+        system=make_system(draw(st.sampled_from(["A100", "B200"])), draw(st.sampled_from([4, 8]))),
+        n_gpus=2 ** draw(st.integers(min_value=0, max_value=5)),
+        serving=ServingSpec(
+            arrival_rate=draw(st.sampled_from([1.0, 16.0, 64.0, 512.0])),
+            prompt_tokens=draw(st.sampled_from([256, 1024])),
+            output_tokens=draw(st.sampled_from([32, 256])),
+        ),
+        objective=draw(st.sampled_from(SERVING_OBJECTIVES)),
+        top_k=draw(st.integers(min_value=0, max_value=3)),
+        space=replace(DEFAULT_SEARCH_SPACE, expert_parallel=(1, 2) if model.is_moe else None),
+    )
+
+
+def _check_serving_pruned_equals_exhaustive(scenario):
+    pruned = find_serving_config(**scenario)
+    exhaustive = replace(scenario["space"], prune_with_lower_bound=False)
+    unpruned = find_serving_config(**{**scenario, "space": exhaustive})
+    assert (pruned.best, pruned.top_k) == (unpruned.best, unpruned.top_k)
+
+
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -122,3 +169,33 @@ def test_batch_search_equals_scalar_search(scenario):
 def test_batch_search_equals_scalar_search_wide(scenario):
     """The same property on 200 random scenarios (``pytest -m batch_grid``)."""
     _check_batch_equals_scalar(scenario)
+
+
+@given(scenario=scenarios())
+@settings(max_examples=10, derandomize=True, **_SETTINGS)
+def test_pruned_search_equals_exhaustive_search(scenario):
+    """Tier-1 slice: pruning never changes the best, top-k or frontier."""
+    _check_pruned_equals_exhaustive(scenario)
+
+
+@pytest.mark.batch_grid
+@given(scenario=scenarios())
+@settings(max_examples=200, **_SETTINGS)
+def test_pruned_search_equals_exhaustive_search_wide(scenario):
+    """The same property on 200 random scenarios (``pytest -m batch_grid``)."""
+    _check_pruned_equals_exhaustive(scenario)
+
+
+@given(scenario=serving_scenarios())
+@settings(max_examples=10, derandomize=True, **_SETTINGS)
+def test_pruned_serving_search_equals_exhaustive(scenario):
+    """Tier-1 slice: pruning never changes the serving best or top-k."""
+    _check_serving_pruned_equals_exhaustive(scenario)
+
+
+@pytest.mark.batch_grid
+@given(scenario=serving_scenarios())
+@settings(max_examples=200, **_SETTINGS)
+def test_pruned_serving_search_equals_exhaustive_wide(scenario):
+    """The same property on 200 random scenarios (``pytest -m batch_grid``)."""
+    _check_serving_pruned_equals_exhaustive(scenario)
