@@ -269,19 +269,16 @@ def _scenario_space(args: argparse.Namespace) -> SearchSpace:
     so the default space — and every reproduced figure — is unchanged).
 
     Thin front-end over :func:`repro.core.workloads.scenario_space` — the
-    same resolver the JSON API's schema layer uses — translating its
-    ``ValueError``s into one-line usage errors.
+    same resolver the JSON API's schema layer uses.  Its ``ValueError``s
+    reach the command, which reports them as one error line (exit 2).
     """
     degree = _parse_expert_parallel(str(getattr(args, "expert_parallel", None) or "auto"))
-    try:
-        return scenario_space(
-            getattr(args, "workload", None) or getattr(args, "model", "gpt3-1t"),
-            schedule=getattr(args, "schedule", None),
-            virtual_stages=getattr(args, "virtual_stages", None),
-            expert_parallel=degree,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro-perf: error: {exc}") from None
+    return scenario_space(
+        getattr(args, "workload", None) or getattr(args, "model", "gpt3-1t"),
+        schedule=getattr(args, "schedule", None),
+        virtual_stages=getattr(args, "virtual_stages", None),
+        expert_parallel=degree,
+    )
 
 
 def _scenario_options(args: argparse.Namespace) -> ModelingOptions:
@@ -330,18 +327,18 @@ def cmd_search(args: argparse.Namespace) -> int:
     """
     model = _resolve_model(args)
     system = make_system(args.gpu, args.nvs)
-    task = SearchTask(
-        model=model,
-        system=system,
-        n_gpus=args.gpus,
-        global_batch_size=args.global_batch,
-        strategy=args.strategy,
-        space=_scenario_space(args),
-        options=_scenario_options(args),
-        top_k=args.top_k,
-        backend=args.backend,
-    )
     try:
+        task = SearchTask(
+            model=model,
+            system=system,
+            n_gpus=args.gpus,
+            global_batch_size=args.global_batch,
+            strategy=args.strategy,
+            space=_scenario_space(args),
+            options=_scenario_options(args),
+            top_k=args.top_k,
+            backend=args.backend,
+        )
         result = solve_search_task(task)
     except ValueError as exc:
         print(f"repro-perf: error: {exc}", file=sys.stderr)
@@ -407,18 +404,18 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         return 0
     model = _resolve_model(args)
     system = make_system(args.gpu, args.nvs)
-    task = SearchTask(
-        model=model,
-        system=system,
-        n_gpus=args.gpus,
-        global_batch_size=args.global_batch,
-        strategy=args.strategy,
-        space=_scenario_space(args),
-        options=_scenario_options(args),
-        backend=args.backend,
-        objectives=tuple(args.objectives),
-    )
     try:
+        task = SearchTask(
+            model=model,
+            system=system,
+            n_gpus=args.gpus,
+            global_batch_size=args.global_batch,
+            strategy=args.strategy,
+            space=_scenario_space(args),
+            options=_scenario_options(args),
+            backend=args.backend,
+            objectives=tuple(args.objectives),
+        )
         result = solve_search_task(task)
     except ValueError as exc:
         print(f"repro-perf: error: {exc}", file=sys.stderr)
@@ -610,7 +607,9 @@ def _resolve_serving_spec(args: argparse.Namespace) -> ServingSpec:
 
     Starts from the workload's ``serving`` preset (or library defaults for
     training-only workloads) and replaces exactly the fields the user set,
-    so ``--arrival-rate`` alone keeps the preset's prompt/output mix.
+    so ``--arrival-rate`` alone keeps the preset's prompt/output mix.  An
+    out-of-range value raises :class:`ServingSpec`'s ``ValueError``, which
+    ``serve`` reports as one error line (exit 2).
     """
     spec = get_workload(args.workload or args.model).serving or ServingSpec()
     overrides = {}
@@ -626,10 +625,7 @@ def _resolve_serving_spec(args: argparse.Namespace) -> ServingSpec:
         value = getattr(args, flag, None)
         if value is not None:
             overrides[field] = value
-    try:
-        return replace(spec, **overrides) if overrides else spec
-    except ValueError as exc:
-        raise SystemExit(f"repro-perf: error: {exc}") from None
+    return replace(spec, **overrides) if overrides else spec
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -640,9 +636,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     and reports the best configuration under ``--objective``.
     """
     model = _resolve_model(args)
-    serving = _resolve_serving_spec(args)
     system = make_system(args.gpu, args.nvs)
     try:
+        serving = _resolve_serving_spec(args)
         result = find_serving_config(
             model,
             system,
@@ -1031,6 +1027,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     An unknown registry name — workload, model, GPU generation, strategy —
     surfaces from the library as a ``KeyError``; it is reported as one
     ``repro-perf: error:`` line with exit status 2, like a usage error.
+    Every command reports input the library rejects with a ``ValueError``
+    (an unknown schedule, a schedule and virtual-stage degree that do not
+    fit together, a non-positive serving parameter, ...) the same way.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

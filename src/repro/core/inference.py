@@ -56,9 +56,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.backends import CostPricer, DEFAULT_BACKEND, get_backend
+from repro.core.collectives import GroupPlacement
 from repro.core.config_space import (
     DEFAULT_SEARCH_SPACE,
     SearchSpace,
@@ -72,17 +74,17 @@ from repro.core.execution import (
     _cached_workload,
     _comm_time,
     _group_placement,
+    register_cache,
 )
 from repro.core.model import TransformerConfig
 from repro.core.operations import (
+    TENSOR_PIPE,
     AttentionShape,
-    CommOp,
-    ComputeOp,
-    flash_attention_forward,
-    gelu_op,
-    layernorm_op,
-    matmul_op,
-    softmax_op,
+    attention_forward_counts,
+    matmul_bytes,
+    matmul_flops,
+    vector_bytes,
+    vector_flops,
 )
 from repro.core.parallelism.base import (
     GROUP_EP,
@@ -104,7 +106,7 @@ from repro.core.plan import (
     CostPhase,
     ExecutionPlan,
 )
-from repro.core.roofline import RooflineTime, ops_time
+from repro.core.roofline import roofline_totals
 from repro.core.schedules import DEFAULT_SCHEDULE
 from repro.core.search import (
     BestK,
@@ -115,7 +117,7 @@ from repro.core.search import (
     search_statistics,
     warm_seed,
 )
-from repro.core.system import SystemSpec
+from repro.core.system import GpuSpec, SystemSpec
 from repro.utils.units import GB
 
 __all__ = [
@@ -273,101 +275,220 @@ def kv_cache_bytes_per_sequence(
 # Decode-step workload
 # ----------------------------------------------------------------------
 
-#: MLP ops that scale with the routed expert count for MoE decode (same
-#: convention as the training transform in
-#: :mod:`repro.core.parallelism.expert`).
-_EXPERT_OP_PREFIXES = ("mlp.up_proj", "mlp.gelu", "mlp.down_proj")
+#: Distinct ``(model, GPU, n1, context, attention kernel, latency option)``
+#: decode-layer tables :func:`_decode_layer_table` keeps.  A serving search
+#: needs one per tensor-parallel degree it enumerates, and requests that
+#: differ only in arrival rate, GPU count or NVS assignment share them.
+DECODE_TABLE_CACHE_SIZE = 1024
+
+#: Fused kernels charged one launch latency per decode layer: the attention
+#: block and the MLP block (serving runtimes fuse decode layers this way —
+#: FlashDecoding-style attention, fused MLP epilogues, CUDA graphs — so the
+#: paper's per-matmul small-kernel latency would overcharge decode by the
+#: primitive count and bury the bandwidth terms the regime is defined by).
+_DECODE_FUSED_KERNELS_PER_LAYER = 2.0
+#: One more fused launch for the MoE router + dispatch epilogue.
+_DECODE_FUSED_KERNELS_MOE_EXTRA = 1.0
 
 
-def _decode_layer(
-    model: TransformerConfig,
-    config: ParallelConfig,
-    group_sequences: float,
-    context_tokens: float,
-    *,
-    flash_attention: bool = True,
-) -> Tuple[List[ComputeOp], List[CommOp]]:
-    """Per-layer decode-step ops and collectives for ``group_sequences``.
+def _weight_matmul_row(m, k, n, dtype_bytes, rate, scale=1.0) -> Tuple[float, float, float]:
+    """Counts of a matmul against a weight read once for the whole group."""
+    return (
+        matmul_flops(m, k, n) * scale,
+        matmul_bytes(m, k, n, dtype_bytes=dtype_bytes, shared_operand_b=True) * scale,
+        rate,
+    )
 
-    Mirrors the tp1d forward structure with the sequence length replaced by
-    the ``g`` new tokens of the decode group, plus a Logit-Attend whose K/V
-    operands are the cached ``context_tokens`` keys/values — so the
-    KV-cache read traffic (GQA-aware) lands in the operands' HBM bytes and
-    the weight reads land in the matmuls', exactly where the roofline
-    expects them.  ``group_sequences`` may be fractional (the effective
+
+def _vector_row(kind, numel, dtype_bytes, rate, scale=1.0) -> Tuple[float, float, float]:
+    """Counts of a read-input, write-output vector op over ``numel`` elements."""
+    return (
+        vector_flops(kind, numel) * scale,
+        vector_bytes(numel, dtype_bytes=dtype_bytes) * scale,
+        rate,
+    )
+
+
+@dataclass(frozen=True)
+class _DecodeLayerTable:
+    """One decode layer's cost as a function of the decode group size ``g``.
+
+    Per layer a decode step runs the tp1d forward structure with the
+    sequence length replaced by the ``g`` new tokens of the decode group,
+    plus a Logit-Attend whose K/V operands are the cached ``context``
+    keys/values — so the KV-cache read traffic (GQA-aware) lands in the
+    attention's HBM bytes and the weight reads land in the matmuls', exactly
+    where the roofline expects them.  ``g`` may be fractional (the effective
     batch is a continuous steady-state quantity).
+
+    Everything except ``g`` is fixed per table: the model's widths sharded
+    over ``n1``, the context, the attention kernel, the GPU's pipe rates and
+    HBM bandwidth, and the fused-launch latency.  Evaluating it builds no op
+    objects, yet every count comes from the helpers the op builders use
+    (:func:`matmul_flops`, :func:`vector_flops`, ...) and the per-op roofline
+    sums through :func:`roofline_totals` in op order, so the times are
+    bit-identical to :func:`~repro.core.roofline.ops_time` over the layer's
+    op list.
     """
-    g = float(group_sequences)
-    if g <= 0:
-        raise ValueError("group_sequences must be positive")
+
+    embed: float
+    hidden: float
+    tp: float
+    dtype_bytes: int
+    #: Per-GPU widths: the TP1 shards of the embedding (the Q projection's
+    #: output), of the K or V projection's output and of the MLP hidden layer.
+    sharded_embed: float
+    sharded_kv: float
+    sharded_hidden: float
+    #: Per-GPU attention heads, head width, K/V head ratio and cached context.
+    heads: float
+    head_dim: float
+    kv_ratio: float
+    context: float
+    fused_attention: bool
+    #: Routed experts per token (0 for a dense MLP) and the expert count.
+    top_k: int
+    experts: float
+    tensor_rate: float
+    vector_rate: float
+    bandwidth: float
+    #: Fused-kernel launch latency of one layer (0.0 without FLOP latency).
+    launch: float
+
+    def op_counts(self, g: float) -> List[Tuple[float, float, float]]:
+        """``(flops, hbm_bytes, pipe_rate)`` of each op of the layer at ``g``.
+
+        In op order: the attention block (LayerNorm, Q/K/V projections,
+        Logit-Attend over the cached context, output projection), the MLP
+        block (LayerNorm, up projection, GeLU, down projection) and, for MoE,
+        the router.  MoE scales the MLP ops by the routed top-k (each token
+        reads and computes its k expert shards), the same first-order
+        treatment as training.
+        """
+        e, nt, dt = self.embed, self.tp, self.dtype_bytes
+        tensor, vector = self.tensor_rate, self.vector_rate
+        scale = float(self.top_k) if self.top_k else 1.0
+        norm = g * e / nt
+        rows = [
+            _vector_row("layernorm", norm, dt, vector),
+            _weight_matmul_row(g, e, self.sharded_embed, dt, tensor),
+            _weight_matmul_row(g, e, self.sharded_kv, dt, tensor),
+            _weight_matmul_row(g, e, self.sharded_kv, dt, tensor),
+        ]
+        # One new query row per sequence attends over the cached context.
+        for flops, bytes_hbm, pipe in attention_forward_counts(
+            g,
+            self.heads,
+            1.0,
+            self.context,
+            self.head_dim,
+            self.kv_ratio,
+            dtype_bytes=dt,
+            fused=self.fused_attention,
+        ):
+            rows.append((flops, bytes_hbm, tensor if pipe == TENSOR_PIPE else vector))
+        rows += (
+            _weight_matmul_row(g, self.sharded_embed, e, dt, tensor),
+            _vector_row("layernorm", norm, dt, vector),
+            _weight_matmul_row(g, e, self.sharded_hidden, dt, tensor, scale),
+            _vector_row("gelu", g * self.hidden / nt, dt, vector, scale),
+            _weight_matmul_row(g, self.sharded_hidden, e, dt, tensor, scale),
+        )
+        if self.top_k:
+            router_rows = g / nt
+            rows.append(_weight_matmul_row(router_rows, e, self.experts, dt, tensor))
+            rows.append(_vector_row("softmax", router_rows * self.experts, dt, vector))
+        return rows
+
+    def compute_times(self, g: float) -> Tuple[float, float]:
+        """Per-layer FLOP time and exposed memory time at group size ``g``.
+
+        Latency is charged per *fused* kernel (see
+        :data:`_DECODE_FUSED_KERNELS_PER_LAYER`), not per primitive: the
+        per-op roofline runs latency-free and the layer's launch cost is
+        added to both sides, the way ``ops_time`` folds latency in.
+        """
+        flop_total, exposed_total = roofline_totals(self.op_counts(g), self.bandwidth)
+        flop = flop_total + self.launch
+        return flop, max(0.0, flop_total + exposed_total + self.launch - flop)
+
+    def comm_time(
+        self,
+        g: float,
+        tp1: GroupPlacement,
+        ep: Optional[GroupPlacement],
+        pricer: CostPricer,
+    ) -> float:
+        """Exposed collective time of one layer at group size ``g``.
+
+        Each block (attention, then MLP) all-gathers its input and
+        reduce-scatters its output over the TP1 group; MoE then dispatches
+        and combines with AllToAlls over the expert-parallel group carved out
+        of DP.  ``tp1`` and ``ep`` are the groups' placements.  Repeated
+        collectives move the same volume over the same group, so each kind
+        is priced once and added once per occurrence, in that order.
+        """
+        volume = self.dtype_bytes * g * self.embed
+        all_gather = pricer.collective("all_gather", volume, tp1)
+        reduce_scatter = pricer.collective("reduce_scatter", volume, tp1)
+        total = 0.0
+        for seconds in (all_gather, reduce_scatter, all_gather, reduce_scatter):
+            total += seconds
+        if self.top_k:
+            a2a_volume = self.dtype_bytes * g * self.top_k * self.embed / self.tp
+            all_to_all = pricer.collective("all_to_all", a2a_volume, ep)
+            total += all_to_all  # dispatch
+            total += all_to_all  # combine
+        return total
+
+
+@register_cache("decode_table")
+@lru_cache(maxsize=DECODE_TABLE_CACHE_SIZE)
+def _decode_layer_table(
+    model: TransformerConfig,
+    gpu: GpuSpec,
+    n1: int,
+    context_tokens: float,
+    flash_attention: bool,
+    include_flop_latency: bool,
+) -> _DecodeLayerTable:
+    """Build (and cache) the decode-layer table of one candidate shape."""
     if context_tokens <= 0:
         raise ValueError("context_tokens must be positive")
-    e, f, h = float(model.embed_dim), float(model.hidden_dim), float(model.num_heads)
-    eh = float(model.head_dim)
-    nt = float(config.tensor_parallel_1)
-    kvd = float(model.kv_dim)
-    dt = model.dtype_bytes
-
-    ops: List[ComputeOp] = []
-    comms: List[CommOp] = []
-
-    # ---------------- Self-attention ----------------
-    ops.append(layernorm_op(g * e / nt, name="sa.layernorm", dtype_bytes=dt))
-    comms.append(CommOp("sa.ag_x", "all_gather", dt * g * e, GROUP_TP1))
-    for proj, out_dim in (("q", e), ("k", kvd), ("v", kvd)):
-        ops.append(
-            matmul_op(
-                f"sa.{proj}_proj", g, e, out_dim / nt, dtype_bytes=dt, shared_operand_b=True
-            )
-        )
-    # One new query row per sequence attends over the cached context: the
-    # K/V operand bytes of the fused kernel are the KV-cache read.
-    ops.extend(
-        flash_attention_forward(
-            AttentionShape(
-                batch=g,
-                heads=h / nt,
-                q_rows=1.0,
-                kv_rows=float(context_tokens),
-                head_dim=eh,
-                kv_heads=float(model.kv_heads) / nt,
-            ),
-            dtype_bytes=dt,
-            fused=flash_attention,
-        )
+    nt = float(n1)
+    e, kvd = float(model.embed_dim), float(model.kv_dim)
+    attention = AttentionShape(
+        batch=1.0,
+        heads=float(model.num_heads) / nt,
+        q_rows=1.0,
+        kv_rows=float(context_tokens),
+        head_dim=float(model.head_dim),
+        kv_heads=float(model.kv_heads) / nt,
     )
-    ops.append(matmul_op("sa.out_proj", g, e / nt, e, dtype_bytes=dt, shared_operand_b=True))
-    comms.append(CommOp("sa.rs_y", "reduce_scatter", dt * g * e, GROUP_TP1))
-
-    # ---------------- MLP ----------------
-    ops.append(layernorm_op(g * e / nt, name="mlp.layernorm", dtype_bytes=dt))
-    comms.append(CommOp("mlp.ag_y", "all_gather", dt * g * e, GROUP_TP1))
-    ops.append(matmul_op("mlp.up_proj", g, e, f / nt, dtype_bytes=dt, shared_operand_b=True))
-    ops.append(gelu_op(g * f / nt, name="mlp.gelu", dtype_bytes=dt))
-    ops.append(matmul_op("mlp.down_proj", g, f / nt, e, dtype_bytes=dt, shared_operand_b=True))
-    comms.append(CommOp("mlp.rs_out", "reduce_scatter", dt * g * e, GROUP_TP1))
-
-    if model.is_moe:
-        # Same first-order MoE treatment as training: MLP ops scale by the
-        # routed top_k (each token reads/computes its k expert shards), a
-        # router gate is added, and dispatch/combine are AllToAlls over the
-        # expert-parallel group carved out of DP.
-        k = model.moe_top_k
-        experts = float(model.num_experts)
-        ops = [
-            op.scaled(float(k)) if op.name.startswith(_EXPERT_OP_PREFIXES) else op
-            for op in ops
-        ]
-        router_rows = g / nt
-        ops.append(
-            matmul_op("moe.router", router_rows, e, experts, dtype_bytes=dt, shared_operand_b=True)
-        )
-        ops.append(softmax_op(router_rows * experts, name="moe.router_softmax", dtype_bytes=dt))
-        a2a_bytes = dt * g * k * e / nt
-        comms.append(CommOp("moe.dispatch", "all_to_all", a2a_bytes, GROUP_EP))
-        comms.append(CommOp("moe.combine", "all_to_all", a2a_bytes, GROUP_EP))
-
-    return ops, comms
+    launches = _DECODE_FUSED_KERNELS_PER_LAYER + (
+        _DECODE_FUSED_KERNELS_MOE_EXTRA if model.is_moe else 0.0
+    )
+    f = float(model.hidden_dim)
+    return _DecodeLayerTable(
+        embed=e,
+        hidden=f,
+        tp=nt,
+        dtype_bytes=model.dtype_bytes,
+        sharded_embed=e / nt,
+        sharded_kv=kvd / nt,
+        sharded_hidden=f / nt,
+        heads=attention.heads,
+        head_dim=attention.head_dim,
+        kv_ratio=attention.kv_ratio,
+        context=attention.kv_rows,
+        fused_attention=flash_attention,
+        top_k=model.moe_top_k if model.is_moe else 0,
+        experts=float(model.num_experts),
+        tensor_rate=gpu.tensor_flops,
+        vector_rate=gpu.vector_flops,
+        bandwidth=gpu.effective_hbm_bandwidth,
+        launch=launches * gpu.flops_latency if include_flop_latency else 0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -385,58 +506,58 @@ class _DecodeStageTimes:
         return self.flop + self.mem_exposed + self.tp_comm
 
 
-#: Fused kernels charged one launch latency per decode layer: the attention
-#: block and the MLP block (serving runtimes fuse decode layers this way —
-#: FlashDecoding-style attention, fused MLP epilogues, CUDA graphs — so the
-#: paper's per-matmul small-kernel latency would overcharge decode by the
-#: primitive count and bury the bandwidth terms the regime is defined by).
-_DECODE_FUSED_KERNELS_PER_LAYER = 2.0
-#: One more fused launch for the MoE router + dispatch epilogue.
-_DECODE_FUSED_KERNELS_MOE_EXTRA = 1.0
+class _DecodeStep:
+    """One candidate's decode step, priced at any decode group size.
 
+    Binds the candidate's decode-layer table, its layers per stage, the
+    pricer and the TP1, EP and PP group placements, resolved once; the
+    continuous-batching fixed point then calls :meth:`stage_times` once per
+    iteration.
+    """
 
-def _decode_stage_times(
-    model: TransformerConfig,
-    system: SystemSpec,
-    config: ParallelConfig,
-    assignment: GpuAssignment,
-    group_sequences: float,
-    context_tokens: float,
-    options: ModelingOptions,
-    pricer: CostPricer,
-) -> _DecodeStageTimes:
-    """Roofline + collective times of one pipeline stage's decode step."""
-    ops, comms = _decode_layer(
-        model,
-        config,
-        group_sequences,
-        context_tokens,
-        flash_attention=options.flash_attention,
-    )
-    stage_layers = layers_per_stage(model, config)
-    # Latency is charged per *fused* kernel (see above), not per primitive:
-    # the per-op roofline runs latency-free and the per-layer launch cost is
-    # added to the FLOP side, mirroring how ops_time folds it in.
-    rt = ops_time(ops, system.gpu, include_latency=False)
-    if options.include_flop_latency:
-        launches = _DECODE_FUSED_KERNELS_PER_LAYER + (
-            _DECODE_FUSED_KERNELS_MOE_EXTRA if model.is_moe else 0.0
+    def __init__(
+        self,
+        model: TransformerConfig,
+        system: SystemSpec,
+        config: ParallelConfig,
+        assignment: GpuAssignment,
+        context_tokens: float,
+        options: ModelingOptions,
+        pricer: CostPricer,
+    ):
+        """Look up the candidate's table and resolve its group placements."""
+        self.table = _decode_layer_table(
+            model,
+            system.gpu,
+            config.tensor_parallel_1,
+            context_tokens,
+            options.flash_attention,
+            options.include_flop_latency,
         )
-        rt = rt + RooflineTime(
-            flop_time=launches * system.gpu.flops_latency,
-            memory_time=launches * system.gpu.flops_latency,
+        self.stage_layers = layers_per_stage(model, config)
+        self.pricer = pricer
+        self.tp1 = _group_placement(GROUP_TP1, config, assignment)
+        self.ep = _group_placement(GROUP_EP, config, assignment) if model.is_moe else None
+        self.pp = (
+            _group_placement(GROUP_PP, config, assignment)
+            if config.pipeline_parallel > 1
+            else None
         )
-    tp_comm = _comm_time(tuple(comms), config, assignment, pricer)
-    p2p = 0.0
-    if config.pipeline_parallel > 1:
-        placement = _group_placement(GROUP_PP, config, assignment)
-        p2p = pricer.p2p(model.dtype_bytes * group_sequences * model.embed_dim, placement)
-    return _DecodeStageTimes(
-        flop=rt.flop_time * stage_layers,
-        mem_exposed=rt.exposed_memory_time * stage_layers,
-        tp_comm=tp_comm * stage_layers,
-        p2p=p2p,
-    )
+
+    def stage_times(self, g: float) -> _DecodeStageTimes:
+        """Roofline + collective times of one pipeline stage's decode step."""
+        table, layers = self.table, self.stage_layers
+        flop, mem_exposed = table.compute_times(g)
+        tp_comm = table.comm_time(g, self.tp1, self.ep, self.pricer)
+        p2p = 0.0
+        if self.pp is not None:
+            p2p = self.pricer.p2p(table.dtype_bytes * g * table.embed, self.pp)
+        return _DecodeStageTimes(
+            flop=flop * layers,
+            mem_exposed=mem_exposed * layers,
+            tp_comm=tp_comm * layers,
+            p2p=p2p,
+        )
 
 
 def decode_step_time(
@@ -460,9 +581,8 @@ def decode_step_time(
     assignment = assignment or GpuAssignment()
     pricer = get_backend(backend)(system)
     g = max(1.0, float(batch_per_replica)) / config.pipeline_parallel
-    stage = _decode_stage_times(
-        model, system, config, assignment, g, context_tokens, options, pricer
-    )
+    step = _DecodeStep(model, system, config, assignment, context_tokens, options, pricer)
+    stage = step.stage_times(g)
     return config.pipeline_parallel * (stage.stage_total + stage.p2p)
 
 
@@ -649,11 +769,13 @@ def _evaluate_serving(
     pf_tp_comm = _comm_time(stage.fwd_comms, config, assignment, pricer) * stage_layers
     t_pf_stage = pf_flop + pf_mem + pf_tp_comm
 
+    step = _DecodeStep(
+        model, system, config, assignment, serving.mean_context_tokens, options, pricer
+    )
     pf_p2p = 0.0
-    if np_ > 1:
-        placement = _group_placement(GROUP_PP, config, assignment)
+    if step.pp is not None:
         pf_p2p = pricer.p2p(
-            model.dtype_bytes * serving.prompt_tokens * model.embed_dim, placement
+            model.dtype_bytes * serving.prompt_tokens * model.embed_dim, step.pp
         )
     ttft = np_ * t_pf_stage + (np_ - 1) * pf_p2p
 
@@ -708,14 +830,9 @@ def _evaluate_serving(
     prefill_utilization = lam * t_pf_stage
     slowdown = math.inf if prefill_utilization >= 1.0 else 1.0 / (1.0 - prefill_utilization)
 
-    context = serving.mean_context_tokens
-
     def decode_stage(batch: float) -> _DecodeStageTimes:
         """Stage times of one decode step at per-replica batch ``batch``."""
-        g = max(batch, 1.0) / np_
-        return _decode_stage_times(
-            model, system, config, assignment, g, context, options, pricer
-        )
+        return step.stage_times(max(batch, 1.0) / np_)
 
     def rotation_of(stage_times: _DecodeStageTimes) -> float:
         """Pure decode token period of already-computed stage times."""
@@ -788,7 +905,7 @@ def _evaluate_serving(
         reason = f"TPOT {tpot:.4f} s exceeds target {serving.target_tpot:.4f} s"
 
     kv_resident = effective_batch * kv_cache_bytes_per_sequence(
-        model, config, int(math.ceil(context)), serving.kv_block_tokens
+        model, config, int(math.ceil(serving.mean_context_tokens)), serving.kv_block_tokens
     )
 
     # --- the cost plan: one request's lifetime ----------------------------
@@ -994,10 +1111,13 @@ def find_serving_config(
     terms.  Infeasible candidates (KV capacity, prefill saturation,
     arrival-rate overload, SLO targets) never win.
 
-    The serving search always prices per candidate: its cost is the scalar
-    decode fixed point, which does not vectorize.  ``top_k`` is the size of
-    the returned leaderboard (0: the winner only); a negative value raises
-    ``ValueError``.
+    The serving search prices per candidate: a candidate's cost is the
+    scalar continuous-batching fixed point, whose iterations depend on each
+    other.  Every iteration, and the bound's, prices its decode step from
+    the candidate's memoized decode-layer table (:class:`_DecodeLayerTable`,
+    one per model, GPU, ``n1`` and context) without building an op list.
+    ``top_k`` is the size of the returned leaderboard (0: the winner only);
+    a negative value raises ``ValueError``.
 
     ``warm_hints`` seeds the branch-and-bound exactly like the training
     search (:func:`repro.core.search.find_optimal_config`): hints — usually

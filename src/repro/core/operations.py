@@ -211,13 +211,22 @@ def vector_op(
     """
     if kind not in _VECTOR_FLOPS_PER_ELEMENT:
         raise KeyError(f"unknown vector op kind {kind!r}")
-    flops_per_elem = _VECTOR_FLOPS_PER_ELEMENT[kind]
     return ComputeOp(
         name=name or kind,
-        flops=flops_per_elem * numel,
-        bytes_hbm=read_write_factor * numel * dtype_bytes,
+        flops=vector_flops(kind, numel),
+        bytes_hbm=vector_bytes(numel, dtype_bytes=dtype_bytes, read_write_factor=read_write_factor),
         pipe=VECTOR_PIPE,
     )
+
+
+def vector_flops(kind: str, numel: float) -> float:
+    """FLOPs of a vector operation of ``kind`` over ``numel`` elements."""
+    return _VECTOR_FLOPS_PER_ELEMENT[kind] * numel
+
+
+def vector_bytes(numel: float, *, dtype_bytes: int = 2, read_write_factor: float = 2.0) -> float:
+    """HBM bytes of a vector operation: ``read_write_factor`` tensor-sized transfers."""
+    return read_write_factor * numel * dtype_bytes
 
 
 def layernorm_op(numel: float, *, name: str = "layernorm", dtype_bytes: int = 2) -> ComputeOp:
@@ -288,53 +297,61 @@ def flash_attention_forward(
     back from HBM (and must also be *stored* for the backward pass — that is
     accounted for by the memory model, not here).
     """
-    b, h, lq, lk, dh = (
+    counts = attention_forward_counts(
         shape.batch,
         shape.heads,
         shape.q_rows,
         shape.kv_rows,
         shape.head_dim,
+        shape.kv_ratio,
+        dtype_bytes=dtype_bytes,
+        fused=fused,
     )
+    names = (
+        ("flash_attention.fwd",) if fused else ("attention.qk", "attention.softmax", "attention.av")
+    )
+    return [
+        ComputeOp(name=name, flops=flops, bytes_hbm=bytes_hbm, pipe=pipe)
+        for name, (flops, bytes_hbm, pipe) in zip(names, counts)
+    ]
+
+
+def attention_forward_counts(
+    batch: float,
+    heads: float,
+    q_rows: float,
+    kv_rows: float,
+    head_dim: float,
+    kv_ratio: float,
+    *,
+    dtype_bytes: int = 2,
+    fused: bool = True,
+) -> Tuple[Tuple[float, float, str], ...]:
+    """``(flops, hbm_bytes, pipe)`` of each forward Logit-Attend op.
+
+    The counts behind :func:`flash_attention_forward`, in its op order, for
+    the fields of an :class:`AttentionShape` (``kv_ratio`` is its
+    :attr:`~AttentionShape.kv_ratio`).  Callers that price many shapes use
+    it without building ops.
+    """
+    b, h, lq, lk, dh, kvr = batch, heads, q_rows, kv_rows, head_dim, kv_ratio
     # Grouped-query attention: K/V tensors carry only kv_heads heads.  The
     # score/attend FLOPs are unchanged (each query head attends over the full
     # sequence); only the K/V bytes shrink by kvr = kv_heads / heads.
-    kvr = shape.kv_ratio
     qk_flops = matmul_flops(lq, dh, lk, batch=b * h)
     av_flops = matmul_flops(lq, lk, dh, batch=b * h)
     softmax_flops = _VECTOR_FLOPS_PER_ELEMENT["softmax"] * b * h * lq * lk
 
     if fused:
         io_bytes = dtype_bytes * b * h * (lq * dh + 2 * kvr * lk * dh + lq * dh)
-        return [
-            ComputeOp(
-                name="flash_attention.fwd",
-                flops=qk_flops + av_flops + softmax_flops,
-                bytes_hbm=io_bytes,
-                pipe=TENSOR_PIPE,
-            )
-        ]
+        return ((qk_flops + av_flops + softmax_flops, io_bytes, TENSOR_PIPE),)
 
     logits_bytes = dtype_bytes * b * h * lq * lk
-    return [
-        ComputeOp(
-            name="attention.qk",
-            flops=qk_flops,
-            bytes_hbm=dtype_bytes * b * h * (lq * dh + kvr * lk * dh) + logits_bytes,
-            pipe=TENSOR_PIPE,
-        ),
-        ComputeOp(
-            name="attention.softmax",
-            flops=softmax_flops,
-            bytes_hbm=2 * logits_bytes,
-            pipe=VECTOR_PIPE,
-        ),
-        ComputeOp(
-            name="attention.av",
-            flops=av_flops,
-            bytes_hbm=logits_bytes + dtype_bytes * b * h * (kvr * lk * dh + lq * dh),
-            pipe=TENSOR_PIPE,
-        ),
-    ]
+    return (
+        (qk_flops, dtype_bytes * b * h * (lq * dh + kvr * lk * dh) + logits_bytes, TENSOR_PIPE),
+        (softmax_flops, 2 * logits_bytes, VECTOR_PIPE),
+        (av_flops, logits_bytes + dtype_bytes * b * h * (kvr * lk * dh + lq * dh), TENSOR_PIPE),
+    )
 
 
 def flash_attention_backward(

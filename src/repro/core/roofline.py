@@ -21,7 +21,7 @@ take.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from repro.core.operations import ComputeOp, TENSOR_PIPE, VECTOR_PIPE
 from repro.core.system import GpuSpec
@@ -70,15 +70,48 @@ def peak_rate(gpu: GpuSpec, pipe: str) -> float:
     raise ValueError(f"unknown pipe {pipe!r}")
 
 
+def roofline_terms(
+    flops: float, bytes_hbm: float, rate: float, bandwidth: float, latency: float = 0.0
+) -> Tuple[float, float]:
+    """The per-op roofline rule: ``(flop_time, memory_time)`` of one op.
+
+    ``rate`` is the peak rate of the op's pipe and ``bandwidth`` the
+    achievable HBM bandwidth; an op without FLOPs charges no ``latency``.
+    """
+    flop_time = latency + flops / rate if flops > 0 else 0.0
+    memory_time = bytes_hbm / bandwidth if bytes_hbm > 0 else 0.0
+    return flop_time, memory_time
+
+
 def op_time(op: ComputeOp, gpu: GpuSpec, *, include_latency: bool = True) -> RooflineTime:
     """Roofline time of a single compute op on ``gpu``."""
-    rate = peak_rate(gpu, op.pipe)
-    latency = gpu.flops_latency if include_latency else 0.0
-    flop_time = latency + op.flops / rate if op.flops > 0 else (latency if op.flops > 0 else 0.0)
-    if op.flops == 0:
-        flop_time = 0.0
-    memory_time = op.bytes_hbm / gpu.effective_hbm_bandwidth if op.bytes_hbm > 0 else 0.0
+    flop_time, memory_time = roofline_terms(
+        op.flops,
+        op.bytes_hbm,
+        peak_rate(gpu, op.pipe),
+        gpu.effective_hbm_bandwidth,
+        gpu.flops_latency if include_latency else 0.0,
+    )
     return RooflineTime(flop_time=flop_time, memory_time=memory_time)
+
+
+def roofline_totals(
+    counts: Iterable[Tuple[float, float, float]], bandwidth: float, latency: float = 0.0
+) -> Tuple[float, float]:
+    """Per-op roofline summed over ``(flops, bytes_hbm, rate)`` rows.
+
+    Returns the FLOP-time total and the exposed-memory total, each op
+    roofline-limited on its own (:func:`roofline_terms`) and accumulated in
+    row order.  :func:`ops_time` and the serving decode-layer table both sum
+    through it, so they agree to the last bit on the same rows.
+    """
+    flop_total = 0.0
+    exposed_total = 0.0
+    for flops, bytes_hbm, rate in counts:
+        flop_time, memory_time = roofline_terms(flops, bytes_hbm, rate, bandwidth, latency)
+        flop_total += flop_time
+        exposed_total += max(0.0, memory_time - flop_time)
+    return flop_total, exposed_total
 
 
 def ops_time(
@@ -92,12 +125,11 @@ def ops_time(
     that in the ``memory_time`` slot as ``flop_total + exposed_memory_total``
     so the :class:`RooflineTime` invariants keep holding.
     """
-    flop_total = 0.0
-    exposed_total = 0.0
-    for op in ops:
-        t = op_time(op, gpu, include_latency=include_latency)
-        flop_total += t.flop_time
-        exposed_total += t.exposed_memory_time
+    flop_total, exposed_total = roofline_totals(
+        ((op.flops, op.bytes_hbm, peak_rate(gpu, op.pipe)) for op in ops),
+        gpu.effective_hbm_bandwidth,
+        gpu.flops_latency if include_latency else 0.0,
+    )
     return RooflineTime(flop_time=flop_total, memory_time=flop_total + exposed_total)
 
 

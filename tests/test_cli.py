@@ -149,7 +149,7 @@ class TestOtherCommands:
 class TestUnknownNames:
     """An unknown registry name is one error line and exit status 2."""
 
-    @pytest.mark.parametrize("bad", ["model", "gpu", "strategy"])
+    @pytest.mark.parametrize("bad", ["model", "gpu", "strategy", "schedule"])
     @pytest.mark.parametrize("command", ["search", "scaling", "systems", "speedup"])
     def test_unknown_name_is_a_clean_error(self, capsys, command, bad):
         argv = [command, "--gpus", "64"]
@@ -367,8 +367,20 @@ class TestServeCommand:
             main(["serve", "--objective", "mfu"])
 
     def test_bad_traffic_override_reports_clean_error(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--workload", "llama70b-serve", "--arrival-rate", "-1"])
+        assert main(["serve", "--workload", "llama70b-serve", "--arrival-rate", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro-perf: error: arrival_rate must be positive\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--max-batch", "max_batch_per_replica"), ("--kv-block", "kv_block_tokens")],
+    )
+    def test_zero_paging_override_reports_clean_error(self, capsys, flag, message):
+        assert main(["serve", flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro-perf: error: {message} must be >= 1\n"
+        assert captured.out == ""
 
     def test_serving_presets_listed_in_workloads(self, capsys):
         rc = main(["workloads"])
@@ -385,8 +397,10 @@ class TestServeCommand:
     def test_training_search_rejects_serving_schedule(self, capsys):
         # serve-rr is forward-only: its bubble/in-flight numbers would
         # silently understate a training iteration, so `search` refuses it.
-        with pytest.raises(SystemExit):
-            main(["search", "--schedule", "serve-rr", "--gpus", "64"])
+        assert main(["search", "--schedule", "serve-rr", "--gpus", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-perf: error: schedule 'serve-rr' is serving-only")
+        assert err.count("\n") == 1
 
 
 class TestScheduleFlags:
@@ -425,12 +439,17 @@ class TestScheduleFlags:
         assert "sched=interleaved" in capsys.readouterr().out
 
     def test_unknown_schedule_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["search", "--schedule", "pipedream", "--gpus", "64"])
+        assert main(["search", "--schedule", "pipedream", "--gpus", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-perf: error: unknown schedule 'pipedream'")
+        assert err.count("\n") == 1
 
     def test_virtual_stages_require_interleaving_schedule(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["search", "--schedule", "gpipe", "--virtual-stages", "2", "--gpus", "64"])
+        argv = ["search", "--schedule", "gpipe", "--virtual-stages", "2", "--gpus", "64"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-perf: error: schedule 'gpipe' does not support virtual_stages=2")
+        assert err.count("\n") == 1
 
     def test_explicit_schedule_override_drops_preset_virtual_stages(self, capsys):
         # The interleaved preset's v=2 belongs to its own schedule; overriding

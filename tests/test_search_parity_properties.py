@@ -17,7 +17,12 @@ winner at half the GPU count — and assert that
 
 A second generator draws serving scenarios — the same three models, 1–32
 GPUs, every serving objective, arrival rates and ``top_k`` 0–3 — and asserts
-that the pruned :func:`find_serving_config` equals the exhaustive one.
+that
+
+* the pruned :func:`find_serving_config` equals the exhaustive one;
+* :func:`serving_objective_bound` is admissible: no feasible assignment of a
+  parallelization beats its bound, and a bound-infeasible parallelization
+  has no feasible assignment.
 
 Tier-1 runs a derandomized slice of each; the ``batch_grid`` tier runs the
 same properties on at least 200 examples.
@@ -29,9 +34,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config_space import DEFAULT_SEARCH_SPACE
+from repro.core.config_space import DEFAULT_SEARCH_SPACE, gpu_assignments, parallel_configs
 from repro.core.execution import DEFAULT_OPTIONS
-from repro.core.inference import SERVING_OBJECTIVES, ServingSpec, find_serving_config
+from repro.core.inference import (
+    SERVING_OBJECTIVES,
+    ServingSpec,
+    _serving_space,
+    evaluate_serving_config,
+    find_serving_config,
+    serving_objective_bound,
+)
 from repro.core.model import TransformerConfig
 from repro.core.objectives import DEFAULT_PARETO_OBJECTIVES
 from repro.core.search import find_optimal_config, find_pareto_configs
@@ -153,6 +165,34 @@ def _check_serving_pruned_equals_exhaustive(scenario):
     assert (pruned.best, pruned.top_k) == (unpruned.best, unpruned.top_k)
 
 
+def _check_serving_bound_admissible(scenario):
+    """Every feasible assignment is no better than its parallelization's bound.
+
+    The tolerance is ``TestAdmissibleBound``'s (``tests/test_inference.py``).
+    """
+    model, system, serving = scenario["model"], scenario["system"], scenario["serving"]
+    objective, n_gpus = scenario["objective"], scenario["n_gpus"]
+    prefill_model = model.scaled(seq_len=serving.prompt_tokens)
+    space = _serving_space(scenario["space"])
+    for config in parallel_configs(prefill_model, n_gpus, n_gpus, "tp1d", space):
+        try:
+            bound, bound_feasible = serving_objective_bound(
+                model, system, config, serving=serving, objective=objective
+            )
+        except ValueError:
+            continue
+        for assignment in gpu_assignments(config, system.nvs_domain_size, space):
+            estimate = evaluate_serving_config(model, system, config, assignment, serving=serving)
+            if not estimate.feasible:
+                continue
+            assert bound_feasible, (config, assignment)
+            value = estimate.objective_value(objective)
+            if objective == "throughput":
+                assert bound >= value - 1e-12, (config, assignment, bound, value)
+            else:
+                assert bound <= value + 1e-12, (config, assignment, bound, value)
+
+
 _SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -199,3 +239,18 @@ def test_pruned_serving_search_equals_exhaustive(scenario):
 def test_pruned_serving_search_equals_exhaustive_wide(scenario):
     """The same property on 200 random scenarios (``pytest -m batch_grid``)."""
     _check_serving_pruned_equals_exhaustive(scenario)
+
+
+@given(scenario=serving_scenarios())
+@settings(max_examples=20, derandomize=True, **_SETTINGS)
+def test_serving_bound_is_admissible(scenario):
+    """Tier-1 slice: the free-communication bound is never beaten."""
+    _check_serving_bound_admissible(scenario)
+
+
+@pytest.mark.batch_grid
+@given(scenario=serving_scenarios())
+@settings(max_examples=200, **_SETTINGS)
+def test_serving_bound_is_admissible_wide(scenario):
+    """The same property on 200 random scenarios (``pytest -m batch_grid``)."""
+    _check_serving_bound_admissible(scenario)
