@@ -708,11 +708,10 @@ class _FreeCommPricer(CostPricer):
 
 
 def _validate_serving_candidate(
-    model: TransformerConfig,
+    prefill_model: TransformerConfig,
     system: SystemSpec,
     config: ParallelConfig,
     assignment: GpuAssignment,
-    serving: ServingSpec,
 ) -> None:
     """Raise ``ValueError`` for structurally invalid serving candidates."""
     if config.strategy != "tp1d":
@@ -722,7 +721,6 @@ def _validate_serving_candidate(
         )
     if config.virtual_stages != 1:
         raise ValueError("serving uses microbatch round-robin, not interleaving (virtual_stages must be 1)")
-    prefill_model = model.scaled(seq_len=serving.prompt_tokens)
     # tp1d's own rules cover everything decode needs too: kv_heads % n1
     # guards the KV shard, seq_len % n1 (on the prompt) guards prefill.
     err = get_strategy("tp1d").validate_config(prefill_model, config)
@@ -737,6 +735,7 @@ def _validate_serving_candidate(
 
 def _evaluate_serving(
     model: TransformerConfig,
+    prefill_model: TransformerConfig,
     system: SystemSpec,
     config: ParallelConfig,
     assignment: GpuAssignment,
@@ -744,11 +743,13 @@ def _evaluate_serving(
     options: ModelingOptions,
     pricer: CostPricer,
 ) -> ServingEstimate:
-    """Price one validated serving candidate through ``pricer``."""
+    """Price one validated serving candidate through ``pricer``.
+
+    ``prefill_model`` is ``model`` at the prompt's sequence length.
+    """
     np_ = config.pipeline_parallel
     nd = config.data_parallel
     stage_layers = layers_per_stage(model, config)
-    prefill_model = model.scaled(seq_len=serving.prompt_tokens)
 
     # --- prefill: a training forward pass over the prompt ----------------
     stage = _cached_stage_times(
@@ -830,9 +831,16 @@ def _evaluate_serving(
     prefill_utilization = lam * t_pf_stage
     slowdown = math.inf if prefill_utilization >= 1.0 else 1.0 / (1.0 - prefill_utilization)
 
+    # Stage times by decode group size: the fixed point's clamped targets
+    # (the one-sequence floor, the capacity batch) repeat a priced size.
+    priced: Dict[float, _DecodeStageTimes] = {}
+
     def decode_stage(batch: float) -> _DecodeStageTimes:
         """Stage times of one decode step at per-replica batch ``batch``."""
-        return step.stage_times(max(batch, 1.0) / np_)
+        g = max(batch, 1.0) / np_
+        if g not in priced:
+            priced[g] = step.stage_times(g)
+        return priced[g]
 
     def rotation_of(stage_times: _DecodeStageTimes) -> float:
         """Pure decode token period of already-computed stage times."""
@@ -983,9 +991,12 @@ def evaluate_serving_config(
     sequence's KV cache or cannot sustain the offered arrival rate.
     """
     assignment = assignment or GpuAssignment()
-    _validate_serving_candidate(model, system, config, assignment, serving)
+    prefill_model = model.scaled(seq_len=serving.prompt_tokens)
+    _validate_serving_candidate(prefill_model, system, config, assignment)
     pricer = get_backend(backend)(system)
-    return _evaluate_serving(model, system, config, assignment, serving, options, pricer)
+    return _evaluate_serving(
+        model, prefill_model, system, config, assignment, serving, options, pricer
+    )
 
 
 def serving_objective_bound(
@@ -1011,10 +1022,25 @@ def serving_objective_bound(
         raise ValueError(
             f"unknown serving objective {objective!r}; expected one of {SERVING_OBJECTIVES}"
         )
+    prefill_model = model.scaled(seq_len=serving.prompt_tokens)
+    return _serving_bound(model, prefill_model, system, config, serving, objective, options)
+
+
+def _serving_bound(
+    model: TransformerConfig,
+    prefill_model: TransformerConfig,
+    system: SystemSpec,
+    config: ParallelConfig,
+    serving: ServingSpec,
+    objective: str,
+    options: ModelingOptions,
+) -> Tuple[float, bool]:
+    """:func:`serving_objective_bound` of a known objective and prefill model."""
     assignment = GpuAssignment()
-    _validate_serving_candidate(model, system, config, assignment, serving)
+    _validate_serving_candidate(prefill_model, system, config, assignment)
     est = _evaluate_serving(
-        model, system, config, assignment, serving, options, _FreeCommPricer(system)
+        model, prefill_model, system, config, assignment, serving, options,
+        _FreeCommPricer(system),
     )
     return est.objective_value(objective), est.feasible
 
@@ -1144,7 +1170,9 @@ def find_serving_config(
 
     def evaluate(config: ParallelConfig, assignment: GpuAssignment) -> ServingEstimate:
         """Serving estimate of one candidate."""
-        return _evaluate_serving(model, system, config, assignment, serving, options, pricer)
+        return _evaluate_serving(
+            model, prefill_model, system, config, assignment, serving, options, pricer
+        )
 
     def evaluate_hint(config: ParallelConfig, assignment: GpuAssignment):
         """:func:`evaluate`, or ``None`` for a structurally invalid hint.
@@ -1184,8 +1212,8 @@ def find_serving_config(
     ):
         n_parallel += 1
         try:
-            bound_value, bound_feasible = serving_objective_bound(
-                model, system, config, serving=serving, objective=objective, options=options
+            bound_value, bound_feasible = _serving_bound(
+                model, prefill_model, system, config, serving, objective, options
             )
             n_bounds += 1
         except ValueError:

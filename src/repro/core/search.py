@@ -24,6 +24,9 @@ incumbent folds it in as a whole; only the candidates that become the best,
 a leaderboard entry or a frontier member are built into :class:`Winner`
 objects.  The selected optimum (and top-k set, and frontier) is provably
 unchanged; :class:`SearchStatistics` records how much work was avoided.
+Training and Pareto search share one strategy loop,
+:func:`_search_strategies`, which runs both passes for each requested
+strategy into one incumbent.
 """
 
 from __future__ import annotations
@@ -86,9 +89,10 @@ class SearchStatistics:
     #: Full (parallelization, NVS-assignment) candidates whose iteration time
     #: was evaluated (including warm-start seed evaluations).  How many
     #: candidates the branch-and-bound actually prices depends on how tight
-    #: the initial threshold is — warm hints, the multi-strategy floor and
-    #: batch chunking all shift it without changing the selected optimum —
-    #: so the counter is diagnostics-only and excluded from equality.
+    #: the threshold is — warm hints, the strategies searched earlier in the
+    #: same call and batch chunking all shift it without changing the
+    #: selected optimum — so the counter is diagnostics-only and excluded
+    #: from equality.
     candidates_evaluated: int = field(default=0, compare=False)
     #: Candidates rejected because they do not fit in HBM — either by the
     #: assignment-independent memory pre-filter (counted once per
@@ -100,18 +104,12 @@ class SearchStatistics:
     #: Parallelizations whose compute-only lower bound was computed for
     #: branch-and-bound ordering (0 when pruning is disabled).
     bounds_computed: int = 0
-    #: Parallelizations skipped outright because their lower bound met or
-    #: exceeded the incumbent optimum; their NVS-assignment loops never ran.
-    #: Like :attr:`candidates_evaluated`, the count depends on the initial
-    #: threshold (warm hints / the multi-strategy floor), so it is excluded
-    #: from equality.
+    #: Parallelizations skipped outright because their lower bound exceeded
+    #: the incumbent's pruning threshold; their NVS-assignment loops never ran.
+    #: Like :attr:`candidates_evaluated`, the count depends on the threshold
+    #: (warm hints, the strategies searched earlier in the call), so it is
+    #: excluded from equality.
     pruned_configs: int = field(default=0, compare=False)
-    #: Of :attr:`pruned_configs`, how many were pruned only by the *floor*:
-    #: the lowest best time or warm seed the earlier strategies of the same
-    #: multi-strategy call reached (see :func:`find_optimal_config`).  The count is
-    #: deterministic, but like :attr:`pruned_configs` it moves with the warm
-    #: seeds, so it is excluded from equality.
-    shared_incumbent_prunes: int = field(default=0, compare=False)
     #: Hits/misses of the memoized per-layer workload cache during this
     #: search (``execution._cached_workload``) — hits mean microbatch,
     #: schedule and assignment candidates re-used an already-built workload.
@@ -301,8 +299,8 @@ class Survivor(NamedTuple):
     #: Admissible bound on every candidate of the parallelization: a score
     #: for :class:`BestK`, a canonical bound vector for the Pareto archive.
     bound: object
-    #: Deterministic tie-break position: the enumeration rank (the Pareto
-    #: search prefixes the strategy index).
+    #: Deterministic tie-break position: the enumeration rank, offset by the
+    #: parallelizations the strategies listed before it enumerated.
     rank: object
     config: ParallelConfig
     #: ``(offset, slope)`` per objective (Pareto search only).
@@ -405,74 +403,60 @@ def branch_and_bound(survivors: Sequence[Survivor], price, incumbent) -> SearchS
     )
 
 
+def _never(bound) -> bool:
+    """Pruning test of an unpruned search."""
+    return False
+
+
 class BestK:
     """Single-objective incumbent: the best candidate plus a top-``k`` leaderboard.
 
     Candidates are keyed by ``(score, rank, assignment index)``, so exact
-    score ties resolve by enumeration order whatever order they were priced
-    in.  The pruning threshold is the best score — or, with ``top_k > 1``,
-    the k-th best, so pruning also preserves the exact top-k set —
-    tightened by the warm seed (:meth:`seed`) and capped by ``floor``: the
-    lowest best score or warm seed the earlier strategies of the same
-    multi-strategy call reached (see :func:`find_optimal_config`).  A
-    one-entry leaderboard's k-th best *is* the best score, so ``top_k=1``
-    follows the best-only rules (:attr:`best_only`).  A survivor is pruned
-    only when its bound *exceeds* the threshold, so an exact tie with the
-    incumbent is still priced.
+    score ties resolve by rank whatever order they were priced in.  One
+    incumbent serves every strategy of a search, so each strategy prunes
+    against everything the strategies before it found.  The pruning
+    threshold is the best score — or, with ``top_k > 1``, the k-th best, so
+    pruning also preserves the exact top-k set — tightened by the lowest
+    warm seed (:meth:`seed`).  A one-entry leaderboard's k-th best *is* the
+    best score, so ``top_k=1`` follows the best-only rules
+    (:attr:`best_only`).  A survivor is pruned only when its bound
+    *exceeds* the threshold, so an exact tie with the incumbent is still
+    priced.
     """
 
-    def __init__(self, top_k: int = 0, prune: bool = True, floor: float = math.inf) -> None:
+    def __init__(self, top_k: int = 0, prune: bool = True) -> None:
         self.top_k = top_k
         self.prune = prune
-        self.floor = floor
         self.best: Optional[Winner] = None
         self._best_key: tuple = (math.inf, -1, -1)
         self._seed = math.inf
         self._heap: List[tuple] = []
-        self._pruned_bounds: List[float] = []
 
     @property
     def best_only(self) -> bool:
         """True when the threshold is the best score (``top_k <= 1``).
 
-        Only then may a warm seed or a floor tighten it: a single score
-        would over-tighten the k-th-best threshold of a longer leaderboard.
+        Only then may a warm seed tighten it: a single score would
+        over-tighten the k-th-best threshold of a longer leaderboard.
         """
         return self.top_k <= 1
 
-    def _threshold(self) -> float:
-        """The threshold this search's own candidates and seed justify."""
-        if not self.prune:
-            return math.inf
-        if not self.best_only:
-            return -self._heap[0][0] if len(self._heap) >= self.top_k else math.inf
-        return min(self._best_key[0], self._seed)
-
-    def threshold(self) -> float:
-        """The pruning threshold: this search's own, capped by the floor."""
-        return min(self._threshold(), self.floor)
+    @property
+    def found(self) -> bool:
+        """True once a feasible candidate was offered."""
+        return self.best is not None
 
     def pruner(self):
-        """Pruning test for the next chunk."""
-        threshold = self.threshold()
-
-        def prunes(bound: float) -> bool:
-            if bound > threshold:
-                self._pruned_bounds.append(bound)
-                return True
-            return False
-
-        return prunes
-
-    @property
-    def shared_prunes(self) -> int:
-        """Pruned survivors this search's own final threshold would have kept.
-
-        Only the floor can prune those, so this is the floor's share of the
-        pruning (0 without a floor).
-        """
-        own = self._threshold()
-        return sum(1 for bound in self._pruned_bounds if bound <= own)
+        """Pruning test for the next chunk: does a bound exceed the threshold?"""
+        if not self.prune:
+            return _never
+        if self.best_only:
+            threshold = min(self._best_key[0], self._seed)
+        elif len(self._heap) >= self.top_k:
+            threshold = -self._heap[0][0]
+        else:
+            return _never
+        return lambda bound: bound > threshold
 
     def seed(self, chunk: PricedChunk) -> int:
         """Open the threshold with a priced chunk of warm hints; returns the hits.
@@ -482,10 +466,11 @@ class BestK:
         discard the optimum or an exact tie.  A seed only tightens the
         threshold: it is never reported, because the enumeration prices the
         same candidate again under its own tie-break rank.  A hit is a hint
-        with at least one feasible assignment.
+        with at least one feasible assignment.  The lowest seed of every
+        strategy's hints is kept.
         """
         if len(chunk.scores):
-            self._seed = float(min(chunk.scores))
+            self._seed = min(self._seed, float(min(chunk.scores)))
         return len(set(chunk.index))
 
     def offer(self, chunk: PricedChunk) -> None:
@@ -771,6 +756,7 @@ def _feasible_survivors(
     space: SearchSpace,
     options: ModelingOptions,
     prune: bool,
+    rank_offset: int = 0,
 ) -> Tuple[List[Survivor], SearchStatistics]:
     """Pass 1 of training and Pareto search: memory filter, then time bound.
 
@@ -780,7 +766,8 @@ def _feasible_survivors(
     system shares, and are filtered by one array compare; only the
     parallelizations that fit are built.  With pruning, each survivor
     carries the compute-only lower bound that orders pass 2; otherwise its
-    bound is 0.  Survivors come in enumeration order.
+    bound is 0.  Survivors come in enumeration order, ranked by their
+    enumeration rank plus ``rank_offset``.
     """
     import numpy as np
 
@@ -790,7 +777,7 @@ def _feasible_survivors(
     n_fit = int(fits.sum())
     survivors: List[Survivor] = []
     for rank, (n1, n2, np_, nd, bm, nb, ep, schedule, v) in zip(
-        np.flatnonzero(fits).tolist(), table.columns[fits].tolist()
+        (np.flatnonzero(fits) + rank_offset).tolist(), table.columns[fits].tolist()
     ):
         config = ParallelConfig(
             strategy, n1, n2, np_, nd, bm, nb, ep, space.schedules[schedule], v
@@ -809,62 +796,91 @@ def _feasible_survivors(
     )
 
 
-def _search_single_strategy(
+def _search_strategies(
     model: TransformerConfig,
     system: SystemSpec,
     n_gpus: int,
     global_batch_size: int,
-    strategy: str,
+    strategies: Sequence[str],
     space: SearchSpace,
     options: ModelingOptions,
     backend: str,
     eval_mode: str,
-    incumbent: BestK,
-    warm_hints: Sequence,
-) -> SearchResult:
-    """One strategy of :func:`find_optimal_config`: pass 1, then the kernel."""
-    caches_before = cache_stats()
-    price = _training_pricer(
-        eval_mode, model, system, global_batch_size, space, options, backend
-    )
-    # Warm seeds suit a pruned best-only search: a top-k leaderboard prunes
-    # on the k-th best, which a single seed score would over-tighten.  Pass
-    # 1's memory rule drops the hints that do not fit before pricing.
-    seeded = SearchStatistics()
-    if warm_hints and incumbent.prune and incumbent.best_only:
-        seeded = warm_seed(
-            price, incumbent, model, n_gpus, global_batch_size, strategy, space, warm_hints,
-            keep=lambda config: (
-                _footprint(model, config, global_batch_size, options)
-                <= system.gpu.hbm_capacity
-            ),
+    fallback_activation_checkpointing: bool,
+    new_incumbent,
+    admit=None,
+    warm_hints: Sequence = (),
+):
+    """The strategy loop of training and Pareto search: one incumbent for all.
+
+    One run makes one incumbent, ``new_incumbent(prune)``, and walks the
+    ``strategies`` in turn.  For each it seeds the incumbent with the warm
+    hints (a pruned best-only :class:`BestK` only), runs pass 1, passes the
+    survivors through ``admit(survivors, options)`` when given (the Pareto
+    search attaches its objective coefficients and bound vectors there),
+    sorts them best-bound-first and runs :func:`branch_and_bound` into the
+    incumbent.  Each strategy's survivor ranks continue after the
+    parallelizations the strategies before it enumerated, so exact ties
+    across strategies resolve in the listed order.  When no candidate is
+    feasible and ``fallback_activation_checkpointing`` is set, the run is
+    repeated once with full activation checkpointing enabled.
+
+    Returns the incumbent, the pricer (which re-prices its winners) and the
+    statistics of the run that produced them.
+    """
+    # The compute-only lower bound is provably admissible for the analytic
+    # evaluation; a simulated bubble may legitimately undercut the closed
+    # form, so pruning is disabled for any non-default backend.
+    prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
+
+    def run(opts: ModelingOptions):
+        caches_before = cache_stats()
+        price = _training_pricer(
+            eval_mode, model, system, global_batch_size, space, opts, backend
         )
+        incumbent = new_incumbent(prune)
+        parts: List[SearchStatistics] = []
+        rank_offset = 0
+        for strategy in strategies:
+            # Warm seeds suit a pruned best-only search: a top-k leaderboard
+            # prunes on the k-th best, which a single seed score would
+            # over-tighten.  Pass 1's memory rule drops the hints that do
+            # not fit before pricing.
+            if warm_hints and prune and incumbent.best_only:
+                parts.append(
+                    warm_seed(
+                        price, incumbent, model, n_gpus, global_batch_size, strategy, space,
+                        warm_hints,
+                        keep=lambda config: (
+                            _footprint(model, config, global_batch_size, opts)
+                            <= system.gpu.hbm_capacity
+                        ),
+                    )
+                )
+            survivors, filtered = _feasible_survivors(
+                model, system, n_gpus, global_batch_size, strategy, space, opts, prune,
+                rank_offset,
+            )
+            rank_offset += filtered.parallel_configs
+            if admit is not None:
+                survivors = admit(survivors, opts)
+            if prune:
+                # Best bound first, ties in rank order (the sort is stable).
+                # A Pareto bound is a vector: it sorts by the first
+                # objective, and no survivor ends the walk, since a later
+                # parallelization may trade that objective for another.
+                survivors.sort(key=attrgetter("bound"))
+            parts += [filtered, branch_and_bound(survivors, price, incumbent)]
+        return incumbent, price, search_statistics(caches_before, *parts)
 
-    survivors, filtered = _feasible_survivors(
-        model, system, n_gpus, global_batch_size, strategy, space, options, incumbent.prune
-    )
-    if incumbent.prune:
-        survivors.sort(key=lambda item: item.bound)
-    searched = branch_and_bound(survivors, price, incumbent)
-
-    best = price.estimate(incumbent.best) if incumbent.best is not None else None
-    leaderboard = [
-        best if winner is incumbent.best else price.estimate(winner)
-        for winner in incumbent.leaderboard()
-    ]
-    return SearchResult(
-        model_name=model.name,
-        system_name=system.name,
-        n_gpus=n_gpus,
-        global_batch_size=global_batch_size,
-        strategy=strategy,
-        best=best,
-        top_k=leaderboard,
-        statistics=search_statistics(
-            caches_before, seeded, filtered, searched,
-            shared_incumbent_prunes=incumbent.shared_prunes,
-        ),
-    )
+    incumbent, price, stats = run(options)
+    if (
+        fallback_activation_checkpointing
+        and not options.activation_checkpointing
+        and not incumbent.found
+    ):
+        incumbent, price, stats = run(replace(options, activation_checkpointing=True))
+    return incumbent, price, stats
 
 
 def find_optimal_config(
@@ -885,13 +901,14 @@ def find_optimal_config(
     """Brute-force search for the fastest feasible configuration.
 
     ``strategy`` may be a single strategy name, a sequence of names, or
-    ``"all"`` to search 1D TP, 2D TP and SUMMA together (the overall best is
-    returned and the per-strategy statistics are merged).  The strategies
-    run in turn, and a pruned best-only search (``top_k <= 1``) starts each
-    one from the *floor*: the lowest best time or warm seed the earlier
-    strategies reached.  The floor only prunes candidates that cannot beat
-    the merged best, so the answer is unchanged;
-    :attr:`SearchStatistics.shared_incumbent_prunes` counts its prunes.
+    ``"all"`` to search 1D TP, 2D TP and SUMMA together (the overall best
+    and leaderboard are returned, with one set of statistics).  The
+    strategies run in turn into one incumbent, so each prunes against the
+    best (or, with ``top_k > 1``, the k-th best) time the strategies before
+    it found.  A survivor pruned that way has every candidate at or above
+    its bound, which exceeds a threshold no lower than the final one, so
+    the answer is unchanged.  Exact time ties between strategies go to the
+    one listed first.
 
     ``backend`` selects the evaluation backend per candidate
     (:mod:`repro.core.backends`); with a non-default backend the
@@ -946,57 +963,24 @@ def find_optimal_config(
 
     eval_mode = batch_eval.validate_eval_mode(eval_mode, backend)
     strategies = resolve_strategies(strategy)
-    # The compute-only lower bound is provably admissible for the analytic
-    # evaluation; a simulated bubble may legitimately undercut the closed
-    # form, so pruning is disabled for any non-default backend.
-    prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
-
-    def _run(opts: ModelingOptions) -> List[SearchResult]:
-        # Each strategy starts from the floor the earlier ones reached.  That
-        # is sound because a multi-strategy call only reports the *merged*
-        # best: a candidate the floor pruned has time >= its bound > floor
-        # >= merged best.  A longer leaderboard prunes on the k-th best,
-        # which a floor would over-tighten, so it only applies to best-only
-        # search (``top_k <= 1``).
-        results = []
-        floor = math.inf
-        for strat in strategies:
-            incumbent = BestK(top_k, prune, floor)
-            results.append(
-                _search_single_strategy(
-                    model, system, n_gpus, global_batch_size, strat, space, opts,
-                    backend, eval_mode, incumbent, warm_hints,
-                )
-            )
-            if prune and incumbent.best_only:
-                floor = incumbent.threshold()
-        return results
-
-    results = _run(options)
-
-    if (
-        fallback_activation_checkpointing
-        and not options.activation_checkpointing
-        and all(res.best is None for res in results)
-    ):
-        results = _run(replace(options, activation_checkpointing=True))
-
-    if len(results) == 1:
-        return results[0]
-
-    merged_stats = SearchStatistics()
-    for res in results:
-        merged_stats = merged_stats.merged(res.statistics)
-    by_time = attrgetter("total_time")  # min/sorted keep strategy order on ties
+    incumbent, price, stats = _search_strategies(
+        model, system, n_gpus, global_batch_size, strategies, space, options, backend,
+        eval_mode, fallback_activation_checkpointing, lambda prune: BestK(top_k, prune),
+        warm_hints=warm_hints,
+    )
+    best = price.estimate(incumbent.best) if incumbent.found else None
     return SearchResult(
         model_name=model.name,
         system_name=system.name,
         n_gpus=n_gpus,
         global_batch_size=global_batch_size,
         strategy="+".join(strategies),
-        best=min((res.best for res in results if res.best is not None), key=by_time, default=None),
-        top_k=sorted((est for res in results for est in res.top_k), key=by_time)[:top_k],
-        statistics=merged_stats,
+        best=best,
+        top_k=[
+            best if winner is incumbent.best else price.estimate(winner)
+            for winner in incumbent.leaderboard()
+        ],
+        statistics=stats,
     )
 
 
@@ -1086,10 +1070,10 @@ class _FrontierArchive:
 
     The frontier is an ``(m, k)`` float64 matrix of canonical metric vectors,
     :attr:`vectors`, plus the parallel list :attr:`entries` of
-    ``(order, winner)``, where ``order`` is the deterministic
-    ``((strategy index, enumeration rank), assignment index)`` tie key.  The
-    archive is the multi-objective incumbent of :func:`branch_and_bound`:
-    its pruning test is :meth:`dominates_bound` — a parallelization whose
+    ``(order, winner)``, where ``order`` is the deterministic ``(rank,
+    assignment index)`` tie key.  The archive is the multi-objective
+    incumbent of :func:`branch_and_bound`: its pruning test is
+    :meth:`dominates_bound` — a parallelization whose
     admissible bound vector is strictly dominated by an archived point
     cannot contribute a frontier member (every real candidate of it is
     ``>=`` the bound componentwise, so the archived point strictly
@@ -1105,6 +1089,11 @@ class _FrontierArchive:
         self.prune = prune
         self.vectors = None
         self.entries: List[Tuple[tuple, Winner]] = []
+
+    @property
+    def found(self) -> bool:
+        """True once a feasible candidate was offered."""
+        return bool(self.entries)
 
     def dominates_bound(self, bound: Sequence[float]) -> bool:
         """True when some archived vector strictly dominates ``bound``."""
@@ -1156,11 +1145,6 @@ class _FrontierArchive:
             ),
             key=lambda entry: (entry[0], entry[1]),
         )
-
-
-def _never(bound) -> bool:
-    """Pruning test of an unpruned search."""
-    return False
 
 
 def find_pareto_configs(
@@ -1224,17 +1208,14 @@ def find_pareto_configs(
     eval_mode = batch_eval.validate_eval_mode(eval_mode, backend)
     objs = resolve_objectives(objectives or DEFAULT_PARETO_OBJECTIVES)
     strategies = resolve_strategies(strategy)
-    # Like the scalar search: the analytic time lower bound (which every
-    # affine objective bound is built from) is only admissible against the
-    # analytic evaluation.
-    prune = space.prune_with_lower_bound and backend == DEFAULT_BACKEND
 
-    def _run(opts: ModelingOptions):
-        caches_before = cache_stats()
-        archive = _FrontierArchive(prune)
-        price = _training_pricer(
-            eval_mode, model, system, global_batch_size, space, opts, backend
-        )
+    def admit(found: List[Survivor], opts: ModelingOptions) -> List[Survivor]:
+        """Pass-1 survivors with their objective coefficients and bound vectors.
+
+        Every objective is time-affine, so its bound is ``offset + slope *
+        time bound``: admissible against the analytic evaluation, which is
+        the only one :func:`_search_strategies` prunes with.
+        """
         ctx = ObjectiveContext(
             model=model,
             system=system,
@@ -1242,38 +1223,20 @@ def find_pareto_configs(
             global_batch_size=global_batch_size,
             options=opts,
         )
-        parts: List[SearchStatistics] = []
-        # One archive across strategies only ever prunes more: dominance is
-        # transitive, so a candidate pruned by a sibling strategy's point is
-        # dominated by the merged frontier too.
-        for strategy_index, strat in enumerate(strategies):
-            found, filtered = _feasible_survivors(
-                model, system, n_gpus, global_batch_size, strat, space, opts, prune
-            )
-            survivors = []
-            for item in found:
-                coeffs = tuple(obj.coefficients(item.config, ctx) for obj in objs)
-                bound = tuple(off + slope * item.bound for off, slope in coeffs) if prune else ()
-                survivors.append(
-                    Survivor(bound, (strategy_index, item.rank), item.config, coeffs)
-                )
-            if prune:
-                # Best-first along the first objective's bound (ties by rank)
-                # so the archive fills with strong points before the bulk of
-                # the pruning tests run.  No survivor ends the walk: a later
-                # parallelization may trade the first objective for another.
-                survivors.sort(key=lambda item: (item.bound, item.rank))
-            parts += [filtered, branch_and_bound(survivors, price, archive)]
-        return archive, price, search_statistics(caches_before, *parts)
+        survivors = []
+        for item in found:
+            coeffs = tuple(obj.coefficients(item.config, ctx) for obj in objs)
+            bound = tuple(off + slope * item.bound for off, slope in coeffs)
+            survivors.append(Survivor(bound, item.rank, item.config, coeffs))
+        return survivors
 
-    archive, price, stats = _run(options)
-    if (
-        fallback_activation_checkpointing
-        and not options.activation_checkpointing
-        and not archive.entries
-    ):
-        archive, price, stats = _run(replace(options, activation_checkpointing=True))
-
+    # One archive across strategies only ever prunes more: dominance is
+    # transitive, so a candidate pruned by a sibling strategy's point is
+    # dominated by the final frontier too.
+    archive, price, stats = _search_strategies(
+        model, system, n_gpus, global_batch_size, strategies, space, options, backend,
+        eval_mode, fallback_activation_checkpointing, _FrontierArchive, admit,
+    )
     points = [
         ParetoPoint(
             estimate=price.estimate(winner),

@@ -80,6 +80,10 @@ from repro.utils.serialization import (
 #: v10: the fingerprint drops ``eval_mode``.  The runtime picks the pricer
 #: from the backend (batch for the analytic one), so a task no longer names
 #: one.  A v9 journal loads empty and is replaced by the first save.
+#: Still v10 after ``SearchStatistics`` dropped ``shared_incumbent_prunes``:
+#: the fingerprint recipe and every stored answer are unchanged, and
+#: ``dataclass_from_jsonable`` ignores keys a dataclass no longer has, so an
+#: entry that still carries the counter loads and hits.
 CACHE_FORMAT_VERSION = 10
 
 #: First line of every journal; a file that does not start with it is

@@ -15,6 +15,7 @@ from repro.core.search import SearchResult
 from repro.core.system import make_system
 from repro.runtime import SearchCache, SearchTask, solve_search_task
 from repro.runtime.cache import CACHE_FORMAT_VERSION
+from repro.utils.serialization import to_jsonable
 
 TINY = TransformerConfig(name="tiny", seq_len=256, embed_dim=512, num_heads=8, depth=4)
 SYSTEM = make_system("B200", 8)
@@ -171,6 +172,24 @@ def test_v9_journal_loads_empty_and_is_replaced(tmp_path):
     assert [r["entry"] for r in lines[1:] if "entry" in r] == [SearchCache.fingerprint(task)]
     assert all(r.get("result") != {"stale": True} for r in lines[1:])
     assert SearchCache(path).get(task) == _stub_result(task)
+
+
+def test_entry_with_a_dropped_statistics_field_still_hits(tmp_path):
+    """A v10 entry written while ``SearchStatistics`` still had
+    ``shared_incumbent_prunes`` replays into today's class: the unknown key
+    is ignored and the stored result comes back."""
+    task = _task()
+    result = solve_search_task(task)
+    stored = to_jsonable(result)
+    stored["statistics"]["shared_incumbent_prunes"] = 3
+    entry = {"entry": SearchCache.fingerprint(task), "result": stored}
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"version": 10}) + "\n" + json.dumps(entry) + "\n")
+    cache = SearchCache(path)
+    assert len(cache) == 1
+    hit = cache.get(task)
+    assert hit == result
+    assert to_jsonable(hit) == to_jsonable(result)
 
 
 def test_cache_without_a_path_never_serializes(monkeypatch):

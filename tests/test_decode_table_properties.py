@@ -137,10 +137,12 @@ def _check_table_equals_oracle(case):
     assert _bits(astuple(step.stage_times(g))) == _bits(astuple(oracle))
 
     serving = knobs["serving"]
-    _validate_serving_candidate(model, system, config, assignment, serving)
-    estimate = _evaluate_serving(model, system, config, assignment, serving, options, pricer)
+    prefill = model.scaled(seq_len=serving.prompt_tokens)
+    _validate_serving_candidate(prefill, system, config, assignment)
+    args = (model, prefill, system, config, assignment, serving, options, pricer)
+    estimate = _evaluate_serving(*args)
     with mock.patch.object(inference, "_DecodeStep", OracleDecodeStep):
-        expected = _evaluate_serving(model, system, config, assignment, serving, options, pricer)
+        expected = _evaluate_serving(*args)
     assert estimate == expected
 
 

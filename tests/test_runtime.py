@@ -581,8 +581,8 @@ class TestBatchEvalExecutor:
     def test_merged_sums_every_field(self, name):
         a = SearchStatistics(parallel_configs=3, candidates_evaluated=10)
         b = dataclasses.replace(a, **{name: getattr(a, name) + 7})
-        # Diagnostics-only counters (shared_incumbent_prunes, ...) never
-        # break result equality; every other field does.
+        # Diagnostics-only counters (pruned_configs, ...) never break
+        # result equality; every other field does.
         field = next(f for f in dataclasses.fields(SearchStatistics) if f.name == name)
         assert (a == b) == (not field.compare)
         assert getattr(a.merged(b), name) == 2 * getattr(a, name) + 7
@@ -612,13 +612,12 @@ class TestBatchEvalExecutor:
                 (
                     r.statistics.candidates_evaluated,
                     r.statistics.pruned_configs,
-                    r.statistics.shared_incumbent_prunes,
                     r.statistics.warm_start_hits,
                 )
                 for r in (s, p, d)
             ]
             assert work[0] == work[1] == work[2]
-            assert work[0][3] == 0
+            assert work[0][2] == 0
 
 
 class TestRuntimePricerChoice:

@@ -178,9 +178,10 @@ class TestNvsDomainEffect:
 
 
 class TestBatchEvalMode:
-    """eval_mode="batch" regressions: the vectorized branch-and-bound with
-    the multi-strategy floor must select exactly what exhaustive scalar
-    search selects — best config, assignment, breakdown and top-k set."""
+    """eval_mode="batch" regressions: the vectorized branch-and-bound, with
+    one incumbent across strategies, must select exactly what exhaustive
+    scalar search selects — best config, assignment, breakdown and top-k
+    set."""
 
     MODEL = GPT3_1T
     N_GPUS = 1024
@@ -202,7 +203,7 @@ class TestBatchEvalMode:
         assert batch.best_time == scalar.best_time
 
     def test_pruned_batch_equals_exhaustive_batch(self, b200):
-        """B&B + the multi-strategy floor never change the optimum (batch pricer)."""
+        """B&B across strategies never changes the optimum (batch pricer)."""
         no_prune = SearchSpace(prune_with_lower_bound=False)
         exhaustive = self._solve(
             b200, strategy="all", space=no_prune, eval_mode="batch"
@@ -216,9 +217,9 @@ class TestBatchEvalMode:
         )
 
     def test_pruned_scalar_equals_exhaustive_scalar(self, b200):
-        """B&B + the multi-strategy floor never change the optimum (scalar
-        pricer).  At 256 GPUs tp1d wins, so the floor it leaves prunes tp2d
-        and summa, while the exhaustive scalar walk stays short."""
+        """B&B across strategies never changes the optimum (scalar pricer).
+        At 256 GPUs tp1d wins, so its time prunes tp2d and summa, while the
+        exhaustive scalar walk stays short."""
         kwargs = dict(
             n_gpus=256, global_batch_size=self.GLOBAL_BATCH, strategy="all",
             eval_mode="scalar",
@@ -227,7 +228,6 @@ class TestBatchEvalMode:
             self.MODEL, b200, space=SearchSpace(prune_with_lower_bound=False), **kwargs
         )
         pruned = find_optimal_config(self.MODEL, b200, **kwargs)
-        assert pruned.statistics.shared_incumbent_prunes > 0
         assert pruned.best.config == exhaustive.best.config
         assert pruned.best.assignment == exhaustive.best.assignment
         assert pruned.best.breakdown == exhaustive.best.breakdown
@@ -244,25 +244,64 @@ class TestBatchEvalMode:
             assert got.assignment == want.assignment
             assert got.breakdown == want.breakdown
 
-    def test_shared_incumbent_prunes_are_attributed(self, b200):
-        """The floor prunes on an "all" search in both eval modes and is
-        counted in the compare-excluded diagnostics, never in the result
-        equality."""
-        for eval_mode in ("batch", "scalar"):
-            result = self._solve(b200, strategy="all", eval_mode=eval_mode)
-            assert result.statistics.shared_incumbent_prunes > 0, eval_mode
+    @pytest.mark.parametrize("eval_mode", ["batch", "scalar"])
+    def test_top_k_search_prunes_across_strategies(self, b200, eval_mode):
+        """One incumbent serves every strategy, so a top-k "all" search
+        prunes each strategy against the k-th best of the ones before it:
+        more than the three one-strategy searches prune together, with the
+        exhaustive search's best and leaderboard.  The unpruned batch walk
+        is the exhaustive answer for both pricers (its winners are re-priced
+        through the scalar oracle) and keeps the scalar case short."""
+        combined = self._solve(b200, strategy="all", top_k=5, eval_mode=eval_mode)
+        alone = sum(
+            self._solve(b200, strategy=name, top_k=5, eval_mode=eval_mode)
+            .statistics.pruned_configs
+            for name in ("tp1d", "tp2d", "summa")
+        )
+        assert combined.statistics.pruned_configs > alone
+        exhaustive = self._solve(
+            b200, strategy="all", top_k=5, eval_mode="batch",
+            space=SearchSpace(prune_with_lower_bound=False),
+        )
+        assert (combined.best, combined.top_k) == (exhaustive.best, exhaustive.top_k)
 
-    def test_topk_search_gets_no_floor(self, b200):
-        """A top-k leaderboard prunes on the k-th best, which a floor from an
-        earlier strategy would over-tighten, so none is passed on."""
-        result = self._solve(b200, strategy="all", top_k=5, eval_mode="batch")
-        assert len(result.top_k) == 5
-        assert result.statistics.shared_incumbent_prunes == 0
+    @pytest.mark.parametrize("eval_mode", ["batch", "scalar"])
+    def test_long_leaderboard_across_strategies_equals_exhaustive(self, b200, eval_mode):
+        """At 256 GPUs the ten best plans span all three strategies, and
+        each survivor is pruned against the tenth best found so far; a
+        threshold any tighter than the k-th best would drop some of them."""
+        kwargs = dict(
+            n_gpus=256, global_batch_size=self.GLOBAL_BATCH, strategy="all", top_k=10
+        )
+        pruned = find_optimal_config(self.MODEL, b200, eval_mode=eval_mode, **kwargs)
+        exhaustive = find_optimal_config(
+            self.MODEL, b200, eval_mode="batch",
+            space=SearchSpace(prune_with_lower_bound=False), **kwargs
+        )
+        assert {est.config.strategy for est in exhaustive.top_k} == {"tp1d", "tp2d", "summa"}
+        assert pruned.statistics.pruned_configs > 0
+        assert (pruned.best, pruned.top_k) == (exhaustive.best, exhaustive.top_k)
+
+    @pytest.mark.parametrize("eval_mode", ["batch", "scalar"])
+    @pytest.mark.parametrize(
+        "order", [("tp1d", "tp2d"), ("tp2d", "tp1d")], ids=["tp1d-first", "tp2d-first"]
+    )
+    def test_exact_cross_strategy_ties_keep_the_listed_order(self, b200, order, eval_mode):
+        """tp2d with ``n2=1`` times exactly like tp1d: at 256 GPUs both
+        strategies' best is the same 89.2 s plan, and the strategy listed
+        first wins the tie and leads the leaderboard."""
+        result = find_optimal_config(
+            self.MODEL, b200, n_gpus=256, global_batch_size=self.GLOBAL_BATCH,
+            strategy=order, top_k=2, eval_mode=eval_mode,
+        )
+        assert [est.config.strategy for est in result.top_k] == list(order)
+        assert result.top_k[0].total_time == result.top_k[1].total_time
+        assert result.best == result.top_k[0]
 
     def test_top_1_searches_like_best_only(self, b200):
         """A one-entry leaderboard's threshold is the best score, so
-        ``top_k=1`` keeps the multi-strategy floor and the warm seeds: it
-        prices exactly the candidates ``top_k=0`` prices."""
+        ``top_k=1`` keeps the warm seeds: it prices exactly the candidates
+        ``top_k=0`` prices."""
         hints = (self._solve(b200, strategy="all", eval_mode="batch").best.config,)
         best_only = self._solve(b200, strategy="all", warm_hints=hints, eval_mode="batch")
         top_1 = self._solve(
@@ -270,7 +309,7 @@ class TestBatchEvalMode:
         )
         assert top_1.top_k == [top_1.best]
         assert top_1.best == best_only.best
-        for name in ("candidates_evaluated", "shared_incumbent_prunes", "warm_start_hits"):
+        for name in ("candidates_evaluated", "pruned_configs", "warm_start_hits"):
             assert getattr(top_1.statistics, name) == getattr(best_only.statistics, name) > 0
 
     def test_batch_requires_analytic_backend(self, b200):
