@@ -105,7 +105,7 @@ def test_ablation_zero_and_overlap(benchmark, save_report):
     def run():
         system = make_system("B200", 8)
         base = _best_time(GPT3_1T, system, "tp1d")
-        no_zero = _best_time(GPT3_1T, system, "tp1d", options=ModelingOptions(zero_optimizer=False))
+        no_zero = _best_time(GPT3_1T, system, "tp1d", options=ModelingOptions(zero_stage=0))
         no_overlap = _best_time(GPT3_1T, system, "tp1d", options=ModelingOptions(overlap_dp=False))
         return [
             ["baseline", base.best_time, base.best.memory_gb],

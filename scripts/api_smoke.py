@@ -16,7 +16,7 @@ asserting the service's two headline guarantees:
    solves one search and is shut down and closed; a second server booted
    on the same file answers the same request with ``source: "cache"``,
    the same summary and no engine solve, and the file starts with the
-   journal's ``{"version": 10}`` header line.
+   journal's ``{"version": CACHE_FORMAT_VERSION}`` header line.
 
 Exits non-zero on the first violated assertion.  Run locally with:
 

@@ -72,13 +72,14 @@ from repro.core.backends import DEFAULT_BACKEND as DEFAULT_EVAL_BACKEND
 from repro.core.backends import available_backends
 from repro.core.collectives import SUPPORTED_COLLECTIVES
 from repro.core.config_space import DEFAULT_SEARCH_SPACE, SearchSpace
-from repro.core.execution import DEFAULT_OPTIONS, ModelingOptions
+from repro.core.execution import ModelingOptions
 from repro.core.inference import (
     SERVING_OBJECTIVES,
     ServingSpec,
     find_serving_config,
 )
 from repro.core.objectives import DEFAULT_PARETO_OBJECTIVES, registered_objectives
+from repro.core.parallelism.data_parallel import ZERO_STAGES
 from repro.core.schedules import (
     DEFAULT_SCHEDULE,
     available_schedules,
@@ -118,8 +119,8 @@ def _add_common_model_args(
     parser.add_argument(
         "--zero-stage",
         type=int,
-        choices=(0, 1, 2, 3),
-        default=None,
+        choices=ZERO_STAGES,
+        default=1,
         help="ZeRO sharding stage (default: the paper's distributed optimizer, stage 1)",
     )
     parser.add_argument(
@@ -283,8 +284,6 @@ def _scenario_space(args: argparse.Namespace) -> SearchSpace:
 
 def _scenario_options(args: argparse.Namespace) -> ModelingOptions:
     """Modeling options honouring ``--zero-stage``."""
-    if getattr(args, "zero_stage", None) is None:
-        return DEFAULT_OPTIONS
     return ModelingOptions(zero_stage=args.zero_stage)
 
 
@@ -645,7 +644,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             n_gpus=args.gpus,
             serving=serving,
             objective=args.objective,
-            options=_scenario_options(args),
             top_k=args.top_k,
             backend=args.backend,
         )

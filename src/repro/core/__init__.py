@@ -31,7 +31,6 @@ from repro.core.workloads import (
     WorkloadSpec,
     available_workloads,
     get_workload,
-    get_workload_model,
     register_workload,
 )
 from repro.core.system import (
@@ -108,7 +107,6 @@ __all__ = [
     "WorkloadSpec",
     "available_workloads",
     "get_workload",
-    "get_workload_model",
     "register_workload",
     "GPU_GENERATIONS",
     "GpuAssignment",

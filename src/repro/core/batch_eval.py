@@ -81,7 +81,6 @@ from repro.core.parallelism.base import (
 from repro.core.parallelism.data_parallel import (
     GRAD_BYTES_PER_PARAM,
     WEIGHT_BYTES_PER_PARAM,
-    resolve_zero_stage,
 )
 from repro.core.schedules import get_schedule
 from repro.core.system import GpuSpec, NetworkSpec, SystemSpec
@@ -579,7 +578,7 @@ def _price_lanes(
         )
 
     # --- data parallel ---------------------------------------------------
-    zero_stage = resolve_zero_stage(options.zero_stage, options.zero_optimizer)
+    zero_stage = options.zero_stage
     rs_total, ag_total = _dp_comm_arrs(
         params, stage_layers, structure.sync_groups[0], zero_stage, geometry, network
     )

@@ -43,7 +43,7 @@ from repro.core.parallelism.base import (
     SummaMatmul,
     get_strategy,
 )
-from repro.core.parallelism.data_parallel import data_parallel_plan, resolve_zero_stage
+from repro.core.parallelism.data_parallel import ZERO_STAGES, data_parallel_plan
 from repro.core.parallelism.pipeline import layers_per_stage, pipeline_p2p_volume_bytes
 from repro.core.plan import (
     CATEGORY_COMPUTE,
@@ -80,20 +80,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelingOptions:
-    """Optional modeling knobs (paper defaults unless noted)."""
+    """Optional modeling knobs (paper defaults unless noted).
+
+    Each behaviour has one spelling, so options that compute the same thing
+    compare and hash equal and share one cache fingerprint.  A
+    ``zero_stage`` outside ``ZERO_STAGES`` raises ``ValueError`` here.
+    """
 
     #: Use the fused FlashAttention Logit-Attend (recompute in backward).
     flash_attention: bool = True
     #: Model dropout layers explicitly (the paper omits them for brevity).
     include_dropout: bool = False
-    #: Shard the Adam optimizer states over the DP group (ZeRO-1).  Legacy
-    #: boolean knob; ignored when ``zero_stage`` is set explicitly.
-    zero_optimizer: bool = True
-    #: ZeRO sharding stage 0-3 (``None`` = legacy: stage 1 when
-    #: ``zero_optimizer`` is set, stage 0 otherwise).  Stages 2/3 additionally
-    #: shard gradients/parameters in the memory model; stage 3 doubles the
-    #: weight AllGather volume (forward + backward re-gather).
-    zero_stage: Optional[int] = None
+    #: ZeRO sharding stage, one of ``ZERO_STAGES``.  Stage 1 is the paper's
+    #: distributed optimizer (the Adam states shard over the DP group) and
+    #: stage 0 shards nothing.  Stages 2/3 additionally shard
+    #: gradients/parameters in the memory model; stage 3 doubles the weight
+    #: AllGather volume (forward + backward re-gather).
+    zero_stage: int = 1
     #: Overlap the DP gradient ReduceScatter / weight AllGather with the
     #: backward/forward pass of the last/first microbatch.
     overlap_dp: bool = True
@@ -108,6 +111,10 @@ class ModelingOptions:
     #: not model this explicitly; it is required to fit the long-sequence ViT
     #: on capacity-limited GPUs (A100) as its Fig. 5b implies.
     activation_checkpointing: bool = False
+
+    def __post_init__(self) -> None:
+        if self.zero_stage not in ZERO_STAGES:
+            raise ValueError(f"zero_stage must be one of {ZERO_STAGES}, got {self.zero_stage!r}")
 
 
 DEFAULT_OPTIONS = ModelingOptions()
@@ -512,7 +519,6 @@ def _assemble_plan(
         config,
         workload,
         m,
-        zero_optimizer=options.zero_optimizer,
         activation_checkpointing=options.activation_checkpointing,
         zero_stage=options.zero_stage,
     )
@@ -565,14 +571,13 @@ def _assemble_plan(
         )
 
     # --- data parallel ---------------------------------------------------
-    zero_stage = resolve_zero_stage(options.zero_stage, options.zero_optimizer)
     plans = [
         data_parallel_plan(
             workload.params_per_gpu * stage_layers,
             config,
             grad_sync_group=workload.grad_sync_group,
             overlap_with_compute=options.overlap_dp,
-            zero_stage=zero_stage,
+            zero_stage=options.zero_stage,
         )
     ]
     if workload.expert_params_per_gpu > 0:
@@ -584,7 +589,7 @@ def _assemble_plan(
                 config,
                 grad_sync_group=workload.expert_grad_sync_group,
                 overlap_with_compute=options.overlap_dp,
-                zero_stage=zero_stage,
+                zero_stage=options.zero_stage,
             )
         )
     rs_total = 0.0
@@ -884,7 +889,6 @@ def estimate_config_memory(
         config,
         workload,
         m,
-        zero_optimizer=options.zero_optimizer,
         activation_checkpointing=options.activation_checkpointing,
         zero_stage=options.zero_stage,
     )

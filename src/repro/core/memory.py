@@ -34,7 +34,6 @@ from repro.core.parallelism.data_parallel import (
     GRAD_BYTES_PER_PARAM,
     OPTIMIZER_BYTES_PER_PARAM,
     WEIGHT_BYTES_PER_PARAM,
-    resolve_zero_stage,
     zero_shard_divisors,
 )
 from repro.core.parallelism.pipeline import (
@@ -92,9 +91,8 @@ def estimate_memory(
     workload: LayerWorkload,
     num_microbatches: int,
     *,
-    zero_optimizer: bool = True,
     activation_checkpointing: bool = False,
-    zero_stage: int | None = None,
+    zero_stage: int = 1,
 ) -> MemoryEstimate:
     """Estimate the per-GPU HBM footprint of ``config``.
 
@@ -105,18 +103,18 @@ def estimate_memory(
     during backward), plus one block's worth of live intermediates.
 
     ``zero_stage`` (0-3) controls how much per-parameter state shards across
-    the data-parallel group; ``None`` keeps the legacy behaviour driven by
-    ``zero_optimizer`` (stage 1 when set, stage 0 otherwise).  Expert (MoE)
-    parameters shard over the smaller ``nd / ep`` expert-replication group.
+    the data-parallel group; the default, stage 1, is the paper's distributed
+    optimizer and stage 0 shards nothing.  Any other value raises
+    ``ValueError``.  Expert (MoE) parameters shard over the smaller
+    ``nd / ep`` expert-replication group.
     """
     stage_layers = layers_per_stage(model, config)
     params_per_gpu = workload.params_per_gpu * stage_layers
     expert_params = workload.expert_params_per_gpu * stage_layers
 
-    stage = resolve_zero_stage(zero_stage, zero_optimizer)
-    w_div, g_div, o_div = zero_shard_divisors(stage, config.data_parallel)
+    w_div, g_div, o_div = zero_shard_divisors(zero_stage, config.data_parallel)
     expert_group = max(1, config.data_parallel // config.expert_parallel)
-    we_div, ge_div, oe_div = zero_shard_divisors(stage, expert_group)
+    we_div, ge_div, oe_div = zero_shard_divisors(zero_stage, expert_group)
 
     weight_bytes = (
         (WEIGHT_BYTES_PER_PARAM / w_div) * params_per_gpu

@@ -318,20 +318,15 @@ MODEL_CATALOG: Dict[str, TransformerConfig] = {
 def get_model(name: str) -> TransformerConfig:
     """Look up a model preset by (case-insensitive) name.
 
-    Resolves through the pluggable workload registry
-    (:mod:`repro.core.workloads`), so registered scenarios (``moe-1t``,
-    ``gpt3-1t-gqa``, downstream additions) are accepted alongside the
-    paper's catalogue above.
+    Shorthand for ``get_workload(name).model``: it resolves through the
+    pluggable workload registry (:mod:`repro.core.workloads`), which holds
+    the paper's catalogue above, registered scenarios (``moe-1t``,
+    ``gpt3-1t-gqa``) and downstream additions or re-registrations.  An
+    unknown name raises ``KeyError``.
 
     >>> get_model("GPT3-1T").depth
     128
     """
-    key = name.strip().lower()
-    if key in MODEL_CATALOG:
-        return MODEL_CATALOG[key]
-    from repro.core.workloads import WORKLOAD_REGISTRY  # local: avoid import cycle
+    from repro.core.workloads import get_workload  # local: avoid import cycle
 
-    if key in WORKLOAD_REGISTRY:
-        return WORKLOAD_REGISTRY[key].model
-    available = sorted(set(MODEL_CATALOG) | set(WORKLOAD_REGISTRY))
-    raise KeyError(f"unknown model {name!r}; available: {available}")
+    return get_workload(name).model

@@ -27,7 +27,6 @@ from repro.core.parallelism.pipeline import (
 )
 from repro.core.parallelism.data_parallel import (
     DataParallelPlan,
-    optimizer_bytes_per_param,
     data_parallel_plan,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "data_parallel_plan",
     "get_strategy",
     "in_flight_microbatches",
-    "optimizer_bytes_per_param",
     "pipeline_bubble_time",
     "pipeline_p2p_volume_bytes",
 ]

@@ -29,7 +29,7 @@ their collectives run over the corresponding ``<group>/ep`` group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.parallelism.base import (
     GROUP_DP,
@@ -50,20 +50,6 @@ OPTIMIZER_BYTES_PER_PARAM = 12.0
 ZERO_STAGES = (0, 1, 2, 3)
 
 
-def resolve_zero_stage(zero_stage: Optional[int], zero_optimizer: bool = True) -> int:
-    """Normalise the (optional) ZeRO stage against the legacy boolean knob.
-
-    ``zero_stage=None`` preserves the original behaviour: the paper's
-    distributed optimizer (stage 1) when ``zero_optimizer`` is set, stage 0
-    otherwise.
-    """
-    if zero_stage is None:
-        return 1 if zero_optimizer else 0
-    if zero_stage not in ZERO_STAGES:
-        raise ValueError(f"zero_stage must be one of {ZERO_STAGES}, got {zero_stage}")
-    return zero_stage
-
-
 def zero_shard_divisors(zero_stage: int, group_size: int) -> Tuple[int, int, int]:
     """Sharding divisors ``(weights, grads, optimizer)`` for one ZeRO stage.
 
@@ -72,26 +58,13 @@ def zero_shard_divisors(zero_stage: int, group_size: int) -> Tuple[int, int, int
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
-    stage = resolve_zero_stage(zero_stage)
+    if zero_stage not in ZERO_STAGES:
+        raise ValueError(f"zero_stage must be one of {ZERO_STAGES}, got {zero_stage!r}")
     return (
-        group_size if stage >= 3 else 1,
-        group_size if stage >= 2 else 1,
-        group_size if stage >= 1 else 1,
+        group_size if zero_stage >= 3 else 1,
+        group_size if zero_stage >= 2 else 1,
+        group_size if zero_stage >= 1 else 1,
     )
-
-
-def optimizer_bytes_per_param(data_parallel: int, *, zero_sharded: bool = True) -> float:
-    """Optimizer-state bytes per parameter on one GPU.
-
-    With ZeRO-1 the 12 bytes/parameter of Adam state are sharded across the
-    ``nd`` data-parallel GPUs; without sharding every replica holds the full
-    state.
-    """
-    if data_parallel < 1:
-        raise ValueError("data_parallel must be >= 1")
-    if zero_sharded:
-        return OPTIMIZER_BYTES_PER_PARAM / data_parallel
-    return OPTIMIZER_BYTES_PER_PARAM
 
 
 @dataclass(frozen=True)
@@ -130,7 +103,7 @@ def data_parallel_plan(
     *,
     grad_sync_group: str = GROUP_DP,
     overlap_with_compute: bool = True,
-    zero_stage: Optional[int] = None,
+    zero_stage: int = 1,
 ) -> DataParallelPlan:
     """Build the DP synchronisation plan for ``params_per_gpu`` parameters.
 
@@ -138,18 +111,19 @@ def data_parallel_plan(
     1D TP and SUMMA, ``nd x n2`` for 2D TP (whose weights are replicated
     across ``n2``), and the ``/ep``-shrunk variants for MoE expert weights.
 
-    ``zero_stage`` only changes the communication volume at stage 3, where
-    the sharded FP16 weights must be re-gathered before the forward *and*
-    before the backward pass (2x the weight AllGather volume).  Stages 0-2
-    move the same bytes as the paper's stage-1 default: one gradient
-    ReduceScatter plus one weight AllGather, which also equals the classic
-    stage-0 gradient AllReduce volume.
+    ``zero_stage`` (default 1, the paper's distributed optimizer) only
+    changes the communication volume at stage 3, where the sharded FP16
+    weights must be re-gathered before the forward *and* before the backward
+    pass (2x the weight AllGather volume).  Stages 0-2 move the same bytes
+    as stage 1: one gradient ReduceScatter plus one weight AllGather, which
+    also equals the classic stage-0 gradient AllReduce volume.  The stage is
+    read as given; :class:`~repro.core.execution.ModelingOptions` validates
+    it.
     """
     if params_per_gpu < 0:
         raise ValueError("params_per_gpu must be non-negative")
     if grad_sync_group not in _SUPPORTED_SYNC_GROUPS:
         raise ValueError(f"unsupported gradient sync group {grad_sync_group!r}")
-    stage = resolve_zero_stage(zero_stage)
 
     group_size = config.group_size(grad_sync_group)
     if group_size <= 1:
@@ -165,7 +139,7 @@ def data_parallel_plan(
 
     grad_bytes = GRAD_BYTES_PER_PARAM * params_per_gpu
     weight_bytes = WEIGHT_BYTES_PER_PARAM * params_per_gpu
-    if stage >= 3:
+    if zero_stage >= 3:
         weight_bytes = 2.0 * weight_bytes
     return DataParallelPlan(
         params_per_gpu=params_per_gpu,

@@ -113,27 +113,22 @@ def register_workload(spec: WorkloadSpec, *, aliases: Sequence[str] = ()) -> Wor
 def get_workload(name: str) -> WorkloadSpec:
     """Look up a workload by (case-insensitive) name.
 
-    Falls back to wrapping the legacy :data:`~repro.core.model.MODEL_CATALOG`
-    presets, so every name ``--model`` ever accepted resolves here too.
+    The only name lookup: :func:`~repro.core.model.get_model` resolves
+    through it too.  Every :data:`~repro.core.model.MODEL_CATALOG` preset is
+    registered on import, so every name ``--model`` ever accepted resolves
+    here, and a re-registered name resolves to its latest spec everywhere.
     """
     key = name.strip().lower()
     if key in WORKLOAD_REGISTRY:
         return WORKLOAD_REGISTRY[key]
-    if key in MODEL_CATALOG:
-        return WorkloadSpec(name=key, model=MODEL_CATALOG[key], tags=("paper",))
     raise KeyError(
         f"unknown workload {name!r}; available: {available_workloads()}"
     )
 
 
-def get_workload_model(name: str) -> TransformerConfig:
-    """Shorthand for ``get_workload(name).model``."""
-    return get_workload(name).model
-
-
 def available_workloads() -> Tuple[str, ...]:
-    """Sorted names of every registered workload (registry + legacy catalogue)."""
-    return tuple(sorted(set(WORKLOAD_REGISTRY) | set(MODEL_CATALOG)))
+    """Sorted names of every registered workload."""
+    return tuple(sorted(WORKLOAD_REGISTRY))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ the cache instead of returning a stale result.
 
 In memory an entry is the result object itself, shared by every hit.  On
 disk the cache is an append-only JSON-lines journal: a
-``{"version": 10}`` header, then one compact line per entry
+``{"version": 11}`` header, then one compact line per entry
 (``{"entry": fp, "result": ...}``) or hint record
 (``{"hint": key, "record": ...}``).  A save appends only the records put
 since the previous save, so its cost is O(new records) however large the
@@ -84,7 +84,11 @@ from repro.utils.serialization import (
 #: the fingerprint recipe and every stored answer are unchanged, and
 #: ``dataclass_from_jsonable`` ignores keys a dataclass no longer has, so an
 #: entry that still carries the counter loads and hits.
-CACHE_FORMAT_VERSION = 10
+#: v11: ``ModelingOptions`` names the ZeRO stage once, as ``zero_stage``
+#: (default 1); the legacy boolean flag and the unset stage are gone, so
+#: every fingerprint's ``options`` changes.  A v10 journal loads empty and
+#: is replaced by the first save.
+CACHE_FORMAT_VERSION = 11
 
 #: First line of every journal; a file that does not start with it is
 #: another format (or garbage) and loads as empty.

@@ -23,10 +23,11 @@ from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.backends import available_backends
-from repro.core.execution import DEFAULT_OPTIONS, ModelingOptions, evaluate_config
+from repro.core.execution import ModelingOptions, evaluate_config
 from repro.core.inference import SERVING_OBJECTIVES, ServingSpec
 from repro.core.objectives import DEFAULT_PARETO_OBJECTIVES, resolve_objectives
 from repro.core.parallelism.base import GpuAssignment, ParallelConfig
+from repro.core.parallelism.data_parallel import ZERO_STAGES
 from repro.core.search import ALL_STRATEGIES
 from repro.core.system import SystemSpec, make_system
 from repro.core.workloads import available_workloads, get_workload, scenario_space
@@ -156,11 +157,9 @@ def _resolve_space(payload: Mapping[str, Any], workload_name: str):
 
 
 def _resolve_options(payload: Mapping[str, Any]) -> ModelingOptions:
-    """Modeling options honouring ``zero_stage``."""
-    zero_stage = _get(payload, "zero_stage", int)
-    if zero_stage is None:
-        return DEFAULT_OPTIONS
-    if zero_stage not in (0, 1, 2, 3):
+    """Modeling options honouring ``zero_stage`` (default: stage 1)."""
+    zero_stage = _get(payload, "zero_stage", int, 1)
+    if zero_stage not in ZERO_STAGES:
         raise ApiError(f"field 'zero_stage' must be 0..3, got {zero_stage}")
     return ModelingOptions(zero_stage=zero_stage)
 
@@ -295,6 +294,10 @@ def parse_serve_request(payload: Any) -> SearchTask:
 
     Starts from the workload's serving preset and replaces exactly the
     fields the request sets (same override semantics as the CLI flags).
+    The serving model reads neither a global batch nor a ZeRO stage, so the
+    task pins both to their defaults and ``global_batch`` and
+    ``zero_stage`` keys are ignored like any other unknown key: bodies that
+    differ only in them are one search.
     """
     payload = _expect_mapping(payload)
     spec = _resolve_workload(payload, "llama70b-serve")
@@ -320,9 +323,8 @@ def parse_serve_request(payload: Any) -> SearchTask:
             model=spec.model,
             system=system,
             n_gpus=_get_positive_int(payload, "gpus", 8),
-            global_batch_size=_get_positive_int(payload, "global_batch", 1),
+            global_batch_size=1,
             strategy="tp1d",
-            options=_resolve_options(payload),
             objective=objective,
             serving=serving,
             **_common_task_fields(payload),

@@ -79,7 +79,6 @@ SCENARIOS = [
         replace(
             DEFAULT_OPTIONS,
             zero_stage=0,
-            zero_optimizer=False,
             overlap_dp=False,
             flash_attention=False,
         ),

@@ -79,7 +79,7 @@ class TestTrainingTermEquality:
         schedule=st.sampled_from(["1f1b", "gpipe", "interleaved"]),
         virtual_stages=st.sampled_from([1, 2]),
         microbatch=st.sampled_from([1, 2]),
-        zero_stage=st.sampled_from([None, 0, 2, 3]),
+        zero_stage=st.sampled_from([1, 0, 2, 3]),
         checkpointing=st.booleans(),
         overlap_dp=st.booleans(),
         overlap_pp=st.booleans(),

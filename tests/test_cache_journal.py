@@ -1,6 +1,6 @@
 """The search cache's on-disk journal: appends, shared hits, torn tails, compaction.
 
-The file is a ``{"version": 10}`` header followed by one JSON record per
+The file is a ``{"version": 11}`` header followed by one JSON record per
 line; a save appends only what was put since the previous one, and the
 file is rewritten (compacted) only when it is missing, foreign, torn or
 mostly duplicates.
@@ -9,6 +9,8 @@ mostly duplicates.
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.core.model import TransformerConfig
 from repro.core.search import SearchResult
@@ -156,26 +158,28 @@ def test_v8_file_loads_empty_and_is_replaced(tmp_path):
     assert SearchCache(path).get(task) == _stub_result(task)
 
 
-def test_v9_journal_loads_empty_and_is_replaced(tmp_path):
-    """A v9 journal keyed its entries by a fingerprint that named a pricer."""
+@pytest.mark.parametrize("version", [9, 10], ids=["v9", "v10"])
+def test_old_journal_loads_empty_and_is_replaced(tmp_path, version):
+    """A v9 journal keyed its entries by a fingerprint that named a pricer,
+    and a v10 one by options that still carried the ``zero_optimizer`` flag."""
     path = tmp_path / "cache.json"
     task = _task()
     stale = {"entry": SearchCache.fingerprint(task), "result": {"stale": True}}
-    path.write_text(json.dumps({"version": 9}) + "\n" + json.dumps(stale) + "\n")
+    path.write_text(json.dumps({"version": version}) + "\n" + json.dumps(stale) + "\n")
     cache = SearchCache(path)
     assert len(cache) == 0
     assert cache.get(task) is None
     cache.put(task, _stub_result(task))
     cache.save()
     lines = _lines(path)
-    assert lines[0] == {"version": CACHE_FORMAT_VERSION} == {"version": 10}
+    assert lines[0] == {"version": CACHE_FORMAT_VERSION} == {"version": 11}
     assert [r["entry"] for r in lines[1:] if "entry" in r] == [SearchCache.fingerprint(task)]
     assert all(r.get("result") != {"stale": True} for r in lines[1:])
     assert SearchCache(path).get(task) == _stub_result(task)
 
 
 def test_entry_with_a_dropped_statistics_field_still_hits(tmp_path):
-    """A v10 entry written while ``SearchStatistics`` still had
+    """An entry written while ``SearchStatistics`` still had
     ``shared_incumbent_prunes`` replays into today's class: the unknown key
     is ignored and the stored result comes back."""
     task = _task()
@@ -184,7 +188,8 @@ def test_entry_with_a_dropped_statistics_field_still_hits(tmp_path):
     stored["statistics"]["shared_incumbent_prunes"] = 3
     entry = {"entry": SearchCache.fingerprint(task), "result": stored}
     path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"version": 10}) + "\n" + json.dumps(entry) + "\n")
+    header = json.dumps({"version": CACHE_FORMAT_VERSION})
+    path.write_text(header + "\n" + json.dumps(entry) + "\n")
     cache = SearchCache(path)
     assert len(cache) == 1
     hit = cache.get(task)

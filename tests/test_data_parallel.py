@@ -8,7 +8,6 @@ from repro.core.parallelism.data_parallel import (
     OPTIMIZER_BYTES_PER_PARAM,
     WEIGHT_BYTES_PER_PARAM,
     data_parallel_plan,
-    optimizer_bytes_per_param,
 )
 
 
@@ -28,17 +27,6 @@ class TestOptimizerMemory:
         assert WEIGHT_BYTES_PER_PARAM == 2.0
         assert GRAD_BYTES_PER_PARAM == 2.0
         assert OPTIMIZER_BYTES_PER_PARAM == 12.0
-
-    def test_zero_sharding_divides_by_dp(self):
-        assert optimizer_bytes_per_param(8) == pytest.approx(12.0 / 8)
-        assert optimizer_bytes_per_param(1) == pytest.approx(12.0)
-
-    def test_unsharded(self):
-        assert optimizer_bytes_per_param(64, zero_sharded=False) == pytest.approx(12.0)
-
-    def test_invalid_dp(self):
-        with pytest.raises(ValueError):
-            optimizer_bytes_per_param(0)
 
 
 class TestDataParallelPlan:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.execution import (
+    DEFAULT_OPTIONS,
     IterationEstimate,
     ModelingOptions,
     TimeBreakdown,
@@ -121,6 +122,16 @@ class TestAssignmentEffects:
 
 
 class TestModelingOptions:
+    def test_zero_stage_one_is_the_default(self):
+        options = ModelingOptions(zero_stage=1)
+        assert options == DEFAULT_OPTIONS
+        assert hash(options) == hash(DEFAULT_OPTIONS)
+
+    @pytest.mark.parametrize("stage", [None, 4])
+    def test_unknown_zero_stage_rejected_at_construction(self, stage):
+        with pytest.raises(ValueError, match="zero_stage"):
+            ModelingOptions(zero_stage=stage)
+
     def test_disabling_dp_overlap_exposes_more_dp_time(self, b200):
         config = tp1d_config()
         overlapped = evaluate_config(

@@ -50,8 +50,8 @@ class TestMemoryEstimate:
     def test_zero_sharding_reduces_optimizer_memory(self):
         config = tp1d_config(nd=32)
         w = workload_for(config)
-        sharded = estimate_memory(GPT3_1T, config, w, 128, zero_optimizer=True)
-        unsharded = estimate_memory(GPT3_1T, config, w, 128, zero_optimizer=False)
+        sharded = estimate_memory(GPT3_1T, config, w, 128, zero_stage=1)
+        unsharded = estimate_memory(GPT3_1T, config, w, 128, zero_stage=0)
         assert sharded.optimizer_bytes == pytest.approx(unsharded.optimizer_bytes / 32)
         assert sharded.total_bytes < unsharded.total_bytes
 
@@ -121,10 +121,10 @@ class TestEstimateConfigMemory:
         config = tp1d_config()
         zero = estimate_config_memory(
             GPT3_1T, config, global_batch_size=4096,
-            options=ModelingOptions(zero_optimizer=True),
+            options=ModelingOptions(zero_stage=1),
         )
         full = estimate_config_memory(
             GPT3_1T, config, global_batch_size=4096,
-            options=ModelingOptions(zero_optimizer=False),
+            options=ModelingOptions(zero_stage=0),
         )
         assert zero.total_bytes < full.total_bytes

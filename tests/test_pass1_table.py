@@ -16,6 +16,7 @@ from repro.core import search
 from repro.core.config_space import DEFAULT_SEARCH_SPACE, parallel_configs
 from repro.core.execution import (
     DEFAULT_OPTIONS,
+    ModelingOptions,
     cache_stats,
     clear_caches,
     config_time_lower_bound,
@@ -182,6 +183,21 @@ def test_checkpointing_fallback_reads_its_own_table():
     for name in ("parallel_configs", "infeasible_memory", "infeasible_other", "bounds_computed"):
         assert getattr(result.statistics, name) == getattr(want, name)
     assert search._pass1_table.cache_info().currsize == 2
+
+
+def test_default_zero_stage_reads_the_default_table():
+    """``zero_stage=1`` spells the default options, so a search with it
+    builds no table of its own."""
+    default = find_optimal_config(
+        DENSE, B200, N_GPUS, GLOBAL_BATCH, strategy="all", space=SPACE, eval_mode="batch"
+    )
+    misses = search._pass1_table.cache_info().misses
+    stage1 = find_optimal_config(
+        DENSE, B200, N_GPUS, GLOBAL_BATCH, strategy="all", space=SPACE, eval_mode="batch",
+        options=ModelingOptions(zero_stage=1),
+    )
+    assert search._pass1_table.cache_info().misses == misses
+    assert stage1.best == default.best
 
 
 def test_clear_caches_empties_the_bounded_table():

@@ -6,7 +6,7 @@ byte-stable — and behave monotonically where the physics demands it:
 
 * MoE FLOPs/params reduce to the dense model at ``num_experts=1, top_k=1``;
 * GQA reduces to MHA at ``kv_heads == num_heads``;
-* ZeRO stage 0/1 reproduce the legacy ``zero_optimizer`` memory numbers;
+* the default options are ZeRO stage 1, the paper's distributed optimizer;
 * sharded memory is monotonically non-increasing in the ZeRO stage and in
   the data-parallel degree.
 """
@@ -155,23 +155,17 @@ class TestZeroStages:
     @given(nd=st.sampled_from([1, 2, 4, 8, 16]), nt=TP)
     @settings(max_examples=25, deadline=None)
     def test_stage_defaults_reproduce_legacy_memory(self, nd, nt):
+        """The default options are stage 1, the paper's distributed optimizer."""
         model = _model(512, 1024, 16, 4)
         cfg = _config(nt, nd=nd)
         batch = 4 * nd
-        legacy_zero1 = estimate_config_memory(
+        default = estimate_config_memory(
             model, cfg, global_batch_size=batch, options=ModelingOptions()
-        )
-        legacy_zero0 = estimate_config_memory(
-            model, cfg, global_batch_size=batch, options=ModelingOptions(zero_optimizer=False)
         )
         stage1 = estimate_config_memory(
             model, cfg, global_batch_size=batch, options=ModelingOptions(zero_stage=1)
         )
-        stage0 = estimate_config_memory(
-            model, cfg, global_batch_size=batch, options=ModelingOptions(zero_stage=0)
-        )
-        assert stage1.breakdown() == legacy_zero1.breakdown()
-        assert stage0.breakdown() == legacy_zero0.breakdown()
+        assert stage1.breakdown() == default.breakdown()
 
     @given(nd=st.sampled_from([2, 4, 8, 16]), nt=TP, experts=st.sampled_from([1, 4]))
     @settings(max_examples=25, deadline=None)

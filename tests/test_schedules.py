@@ -31,7 +31,7 @@ from repro.core.backends import AnalyticPricer
 from repro.core.collectives import collective_time, point_to_point_time
 from repro.core.model import GPT3_1T
 from repro.core.parallelism.base import GROUP_PP, GpuAssignment, ParallelConfig
-from repro.core.parallelism.data_parallel import data_parallel_plan, resolve_zero_stage
+from repro.core.parallelism.data_parallel import data_parallel_plan
 from repro.core.parallelism.pipeline import (
     layers_per_stage,
     pipeline_bubble_time,
@@ -264,12 +264,11 @@ def _legacy_breakdown(model, system, config, assignment, global_batch_size, opti
         placement = _group_placement(GROUP_PP, config, assignment)
         pp_comm = m * point_to_point_time(p2p_bytes, placement, system.network)
 
-    zero_stage = resolve_zero_stage(options.zero_stage, options.zero_optimizer)
     plans = [
         data_parallel_plan(
             workload.params_per_gpu * stage_layers, config,
             grad_sync_group=workload.grad_sync_group,
-            overlap_with_compute=options.overlap_dp, zero_stage=zero_stage,
+            overlap_with_compute=options.overlap_dp, zero_stage=options.zero_stage,
         )
     ]
     if workload.expert_params_per_gpu > 0:
@@ -277,7 +276,7 @@ def _legacy_breakdown(model, system, config, assignment, global_batch_size, opti
             data_parallel_plan(
                 workload.expert_params_per_gpu * stage_layers, config,
                 grad_sync_group=workload.expert_grad_sync_group,
-                overlap_with_compute=options.overlap_dp, zero_stage=zero_stage,
+                overlap_with_compute=options.overlap_dp, zero_stage=options.zero_stage,
             )
         )
     dp_comm = 0.0

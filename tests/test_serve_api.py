@@ -275,6 +275,29 @@ class TestPlannerApp:
         assert app.status()["engine_solves"] == 1
         app.close()
 
+    def test_default_zero_stage_shares_one_solve(self):
+        """``"zero_stage": 1`` spells the default options: one engine solve,
+        then a hit."""
+        app = PlannerApp()
+        first = app.search({"gpus": 256})
+        second = app.search({"gpus": 256, "zero_stage": 1})
+        assert (first["source"], second["source"]) == ("solved", "cache")
+        assert second["summary"] == first["summary"]
+        assert app.status()["engine_solves"] == 1
+        app.close()
+
+    def test_serve_ignores_global_batch_and_zero_stage(self):
+        """The serving model reads neither field, so bodies that differ only
+        in them are one serving search."""
+        app = PlannerApp()
+        body = {"workload": "llama70b-serve", "gpus": 8}
+        extras = ({}, {"global_batch": 64}, {"zero_stage": 2}, {"zero_stage": 0})
+        answers = [app.serve({**body, **extra}) for extra in extras]
+        assert [a["source"] for a in answers] == ["solved", "cache", "cache", "cache"]
+        assert all(a["summary"] == answers[0]["summary"] for a in answers)
+        assert app.status()["engine_solves"] == 1
+        app.close()
+
     def test_second_identical_request_hits_warm_cache(self):
         solves = []
 

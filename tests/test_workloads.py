@@ -10,7 +10,6 @@ from repro.core.workloads import (
     WorkloadSpec,
     available_workloads,
     get_workload,
-    get_workload_model,
     register_workload,
 )
 
@@ -39,6 +38,17 @@ class TestRegistryLookup:
         assert set(MODEL_CATALOG) <= set(names)
         assert "moe-1t" in names and "gpt3-1t-gqa" in names
 
+    def test_shadowed_catalogue_name_resolves_the_same_everywhere(self, monkeypatch):
+        """A re-registered catalogue name is one model for every lookup."""
+        shallow = TransformerConfig(
+            name="GPT3-1T", seq_len=2048, embed_dim=25600, num_heads=160, depth=64
+        )
+        monkeypatch.setitem(
+            WORKLOAD_REGISTRY, "gpt3-1t", WorkloadSpec(name="gpt3-1t", model=shallow)
+        )
+        assert get_model("gpt3-1t") is get_workload("gpt3-1t").model is shallow
+        assert get_model("GPT3-1T").depth == 64
+
 
 class TestRegistration:
     def test_register_and_shadow(self):
@@ -50,7 +60,7 @@ class TestRegistration:
             register_workload(spec, aliases=("test-tiny-alias",))
             assert get_workload("test-tiny") is spec
             assert get_workload("test-tiny-alias") is spec
-            assert get_workload_model("test-tiny") is tiny
+            assert get_model("test-tiny") is tiny
             # Re-registering shadows the previous entry.
             shadow = WorkloadSpec(name="test-tiny", model=GPT3_1T)
             register_workload(shadow)
